@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import multiprocessing
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -317,6 +318,9 @@ def _cmd_atlas(args: argparse.Namespace) -> int:
     jobs = args.jobs if args.jobs is not None else args.config.jobs
     if jobs <= 0:
         raise InputError("--jobs must be positive")
+    cpus = os.cpu_count() or 1
+    if jobs > cpus:
+        raise InputError(f"--jobs {jobs} exceeds the {cpus} available CPUs")
 
     tasks = []
     for n in range(1, args.max_n + 1):

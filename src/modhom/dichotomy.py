@@ -146,6 +146,45 @@ def _diameter_path_certificate(h: Graph, p: int) -> tuple[int, ...]:
     )
 
 
+def _tree_paths_from(h: Graph, u: int, p: int) -> Iterator[tuple[int, ...]]:
+    """Candidate certificate paths starting at ``u`` in a tree.
+
+    Tree paths are unique, so one breadth-first search with a parent map
+    gives each of them.  The search passes only through vertices of degree
+    1 mod p, since a candidate's interior must, and stops at every other
+    vertex, which is an endpoint.
+    """
+    parent = {u: u}
+    frontier = [u]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in h.neighbors(x):
+                if y in parent:
+                    continue
+                parent[y] = x
+                if h.degree(y) % p == 1:
+                    nxt.append(y)
+                    continue
+                path = [y]
+                while path[-1] != u:
+                    path.append(parent[path[-1]])
+                yield tuple(reversed(path))
+        frontier = nxt
+
+
+def _graph_paths_from(h: Graph, u: int, p: int) -> Iterator[tuple[int, ...]]:
+    """Candidate certificate paths starting at ``u`` in any graph: the
+    endpoint pair must be joined by exactly one simple path (found by DFS)
+    whose interior degrees are all 1 mod p."""
+    for v in range(h.n):
+        if v == u or h.degree(v) % p == 1:
+            continue
+        paths = _simple_paths(h, u, v, cap=2)
+        if len(paths) == 1 and all(h.degree(x) % p == 1 for x in paths[0][1:-1]):
+            yield paths[0]
+
+
 def find_ab_path(h: Graph, p: int) -> AbPath | None:
     """Smallest certificate path in a connected graph, or None.
 
@@ -158,22 +197,16 @@ def find_ab_path(h: Graph, p: int) -> AbPath | None:
     if h.n == 0 or not h.is_connected():
         raise InputError("certificate search expects a connected graph")
 
-    best: tuple[int, tuple[int, ...]] | None = None
-    for u in range(h.n):
-        if h.degree(u) % p == 1:
-            continue
-        for v in range(h.n):
-            if v == u or h.degree(v) % p == 1:
-                continue
-            paths = _simple_paths(h, u, v, cap=2)
-            if len(paths) != 1:
-                continue
-            path = paths[0]
-            if not all(h.degree(x) % p == 1 for x in path[1:-1]):
-                continue
-            cand = (len(path) - 1, path)
-            if best is None or cand < best:
-                best = cand
+    paths_from = _tree_paths_from if h.m == h.n - 1 else _graph_paths_from
+    best = min(
+        (
+            (len(path) - 1, path)
+            for u in range(h.n)
+            if h.degree(u) % p != 1
+            for path in paths_from(h, u, p)
+        ),
+        default=None,
+    )
 
     rep = analyze_structure(h)
     if rep.is_tree and not rep.is_star and h.n <= 12:

@@ -8,13 +8,24 @@ automorphism queries run a pruned permutation search with an explicit size
 bound (default 12 vertices) and raise :class:`BudgetExceededError` beyond it
 rather than silently grinding.  All values are immutable after construction,
 so every function here is safe to call concurrently.
+
+The automorphism search keeps adjacency as one bitmask per vertex, so
+checking a partial map against the vertices already placed is one mask
+comparison.  It only tries to send a vertex to vertices of its own class
+under stable colour refinement (1-WL seeded with degrees): every
+automorphism preserves those classes, so the pruning removes no
+automorphism, and with candidates tried in ascending order the search still
+yields them in lexicographic order of their image arrays.  For forests,
+:func:`forest_automorphism_count` gives the group order exactly from AHU
+canonical codes without enumerating anything.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -460,7 +471,10 @@ def parse_graph(
                 raise fail(lineno, "'l' lines are only valid for kind=bipartite")
             if len(parts) != 2:
                 raise fail(lineno, "side line must be 'l <v>'")
-            v = int(parts[1])
+            try:
+                v = int(parts[1])
+            except ValueError:
+                raise fail(lineno, "side vertex must be an integer") from None
             if not 1 <= v <= n:
                 raise fail(lineno, f"vertex out of range 1..{n}")
             left_marks.append(v - 1)
@@ -469,7 +483,10 @@ def parse_graph(
                 raise fail(lineno, "'pin' lines are only valid for kind=labelled")
             if len(parts) != 3:
                 raise fail(lineno, "pin line must be 'pin <v> <target>'")
-            v, t = int(parts[1]), int(parts[2])
+            try:
+                v, t = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise fail(lineno, "pin vertex and target must be integers") from None
             if not 1 <= v <= n:
                 raise fail(lineno, f"pinned vertex out of range 1..{n}")
             pin_lines.append((lineno, v - 1, t))
@@ -546,9 +563,6 @@ class StructureReport:
     is_tree: bool
     is_star: bool
     is_complete_bipartite_per_component: tuple[bool, ...]
-    # When no bipartition exists: a closed odd walk (first == last vertex),
-    # kept for test instrumentation.
-    odd_cycle: tuple[int, ...] | None = field(default=None, compare=False)
 
 
 def _two_color(g: Graph, comp: Sequence[int]) -> tuple[dict[int, int], tuple[int, ...] | None]:
@@ -592,16 +606,16 @@ def analyze_structure(g: Graph) -> StructureReport:
     """
     comps = g.components()
     color_all: dict[int, int] = {}
-    odd: tuple[int, ...] | None = None
+    bipartite = True
     for comp in comps:
         color, bad = _two_color(g, comp)
         if bad is not None:
-            odd = odd or bad
+            bipartite = False
         else:
             color_all.update(color)
 
     bipartition = None
-    if odd is None:
+    if bipartite:
         part0 = frozenset(v for v, c in color_all.items() if c == 0)
         part1 = frozenset(v for v, c in color_all.items() if c == 1)
         bipartition = (part0, part1)
@@ -627,7 +641,6 @@ def analyze_structure(g: Graph) -> StructureReport:
         is_tree=is_tree,
         is_star=is_star,
         is_complete_bipartite_per_component=tuple(cb_flags),
-        odd_cycle=odd,
     )
 
 
@@ -706,37 +719,80 @@ def are_isomorphic(
     return extend(0)
 
 
+def _colour_classes(g: Graph) -> list[int]:
+    """Stable colour refinement (1-WL) seeded with degrees.
+
+    Returns one colour per vertex.  A vertex's next colour is its colour
+    together with the multiset of its neighbours' colours; the partition
+    only ever splits, so it is stable once the class count stops growing.
+    The classes depend on the graph's structure alone, so every
+    automorphism maps each class onto itself.
+    """
+    colour = [g.degree(v) for v in range(g.n)]
+    classes = len(set(colour))
+    while True:
+        ids: dict[tuple, int] = {}
+        colour = [
+            ids.setdefault(
+                (colour[v], tuple(sorted(colour[w] for w in g.neighbors(v)))),
+                len(ids),
+            )
+            for v in range(g.n)
+        ]
+        if len(ids) == classes:
+            return colour
+        classes = len(ids)
+
+
 def iter_automorphisms(g: Graph) -> Iterator[Permutation]:
-    """Yield all automorphisms in lexicographic order of their image arrays."""
+    """Yield all automorphisms in lexicographic order of their image arrays.
+
+    Vertices 0..n-1 are placed in turn, each on the unused vertices of its
+    colour-refinement class in ascending order.  Placing v on w is
+    consistent when the images of v's earlier neighbours are exactly w's
+    neighbours among the images placed so far.
+    """
     n = g.n
     if n == 0:
         yield Permutation(())
         return
-    degrees = [g.degree(v) for v in range(n)]
-    mapping = [-1] * n
-    used = [False] * n
+    adj = [0] * n
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    colour = _colour_classes(g)
+    class_mask: dict[int, int] = {}
+    for v in range(n):
+        class_mask[colour[v]] = class_mask.get(colour[v], 0) | 1 << v
+    same_class = [class_mask[colour[v]] for v in range(n)]
+    earlier = [[u for u in range(v) if adj[v] >> u & 1] for v in range(n)]
 
-    def consistent(v: int, w: int) -> bool:
-        if degrees[v] != degrees[w]:
-            return False
-        for u in range(v):
-            if g.has_edge(v, u) != g.has_edge(w, mapping[u]):
-                return False
-        return True
-
-    def extend(v: int) -> Iterator[Permutation]:
-        if v == n:
+    mapping = [0] * n
+    candidates = [0] * n  # level v: untried images for v
+    wanted = [0] * n  # level v: images of v's earlier neighbours
+    used = 0  # images of vertices 0..v-1
+    v = 0
+    candidates[0] = same_class[0]
+    while v >= 0:
+        cand = candidates[v]
+        if not cand:
+            v -= 1
+            if v >= 0:
+                used ^= 1 << mapping[v]
+            continue
+        low = cand & -cand
+        candidates[v] = cand ^ low
+        w = low.bit_length() - 1
+        if adj[w] & used != wanted[v]:
+            continue
+        mapping[v] = w
+        if v == n - 1:
             yield Permutation(tuple(mapping))
-            return
-        for w in range(n):
-            if not used[w] and consistent(v, w):
-                mapping[v] = w
-                used[w] = True
-                yield from extend(v + 1)
-                mapping[v] = -1
-                used[w] = False
-
-    yield from extend(0)
+            continue
+        used |= low
+        v += 1
+        candidates[v] = same_class[v] & ~used
+        wanted[v] = sum(1 << mapping[u] for u in earlier[v])
 
 
 def automorphism_group(
@@ -756,6 +812,91 @@ def automorphism_group(
         if len(out) > cap:
             raise BudgetExceededError(f"automorphism list exceeds cap {cap}")
     return out
+
+
+def _tree_centres(g: Graph, comp: Sequence[int]) -> list[int]:
+    """The centre (one vertex) or bicentre (two) of a tree component, found
+    by stripping leaves layer by layer."""
+    degree = {v: g.degree(v) for v in comp}
+    layer = [v for v in comp if degree[v] <= 1]
+    remaining = len(comp)
+    while remaining > 2:
+        remaining -= len(layer)
+        nxt = []
+        for v in layer:
+            for w in g.neighbors(v):
+                degree[w] -= 1
+                if degree[w] == 1:
+                    nxt.append(w)
+        layer = nxt
+    return sorted(layer)
+
+
+def _rooted_code(
+    g: Graph, root: int, avoid: int, codes: dict[tuple[int, ...], int]
+) -> tuple[int, int]:
+    """AHU code and automorphism-group order of the tree hanging from
+    ``root``, not crossing into ``avoid``.
+
+    ``codes`` interns sorted child-code tuples as small ints, so two rooted
+    trees get equal codes exactly when they are isomorphic.  The group order
+    is the product of the children's orders times k! for every k children
+    with equal codes.
+    """
+    parent = {root: avoid}
+    order = [root]
+    for v in order:  # grows while iterating: breadth-first
+        for w in g.neighbors(v):
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    children: dict[int, list[int]] = {v: [] for v in order}
+    code: dict[int, int] = {}
+    aut = dict.fromkeys(order, 1)
+    for v in reversed(order):  # children before parents
+        kids = sorted(children[v])
+        code[v] = codes.setdefault(tuple(kids), len(codes))
+        run = 1
+        for prev, kid in zip(kids, kids[1:]):
+            run = run + 1 if kid == prev else 1
+            aut[v] *= run  # a run of k equal codes contributes 2*3*...*k = k!
+        if v != root:
+            children[parent[v]].append(code[v])
+            aut[parent[v]] *= aut[v]
+    return code[root], aut[root]
+
+
+def forest_automorphism_count(g: Graph) -> int | None:
+    """|Aut(g)| for a forest, from rooted canonical codes; None if g has a
+    cycle.
+
+    Each tree is rooted at its centre, or cut at its central edge into two
+    halves rooted at the bicentre, which doubles the order when the halves
+    are isomorphic.  The forest's order is the product of its trees' orders
+    times k! for every k pairwise isomorphic trees.  Nothing is enumerated,
+    so there is no size bound.
+    """
+    comps = g.components()
+    if g.m != g.n - len(comps):
+        return None
+    codes: dict[tuple[int, ...], int] = {}
+    tree_codes = []
+    total = 1
+    for comp in comps:
+        centres = _tree_centres(g, comp)
+        if len(centres) == 1:
+            code, aut = _rooted_code(g, centres[0], -1, codes)
+            tree_codes.append((code,))
+        else:
+            x, y = centres
+            cx, ax = _rooted_code(g, x, y, codes)
+            cy, ay = _rooted_code(g, y, x, codes)
+            aut = ax * ay * (2 if cx == cy else 1)
+            tree_codes.append((min(cx, cy), max(cx, cy)))
+        total *= aut
+    for k in Counter(tree_codes).values():
+        total *= math.factorial(k)
+    return total
 
 
 # ---------------------------------------------------------------------------

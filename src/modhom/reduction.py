@@ -5,6 +5,13 @@ p-cycles; restricting to the fixed vertices preserves hom counts mod p.
 Iterating until no order-p automorphism remains yields the reduced form.  The
 reduced form is unique up to isomorphism; ``tie_break="all_paths"`` checks
 that empirically by exploring every reduction order.
+
+The order-p search takes the lexicographically first automorphism of order
+p, so the labels of every reduced graph are deterministic.  On forests
+above the full-group bound it first computes |Aut| exactly from canonical
+codes: by Cauchy's theorem an element of order p exists iff p divides it,
+so when p does not divide it the answer is None without enumerating the
+group; otherwise the lexicographic search runs as usual.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from .graphs import (
     Permutation,
     are_isomorphic,
     automorphism_group,
+    forest_automorphism_count,
     iter_automorphisms,
 )
 
@@ -41,7 +49,9 @@ def find_order_p_automorphism(
     For graphs up to 8 vertices the whole group is enumerated and the
     Cauchy-theorem criterion (p divides |Aut| iff an order-p element exists)
     is asserted as a self-check; beyond that the search stops at the first
-    hit.
+    hit.  A larger forest is answered None at once when p does not divide
+    its exactly counted |Aut|; when it does, an empty search fails the same
+    self-check.
     """
     if h.n > bound:
         raise BudgetExceededError(f"automorphism search beyond bound {bound}")
@@ -56,8 +66,14 @@ def find_order_p_automorphism(
             "internal verification failure: Cauchy criterion violated"
         )
         return found
+    group_order = forest_automorphism_count(h)
+    if group_order is not None and group_order % p:
+        return None
     for a in _order_p_elements(h, p):
         return a
+    assert group_order is None, (
+        "internal verification failure: Cauchy criterion violated"
+    )
     return None
 
 

@@ -784,26 +784,6 @@ class GPhiConstruction:
         right = [x for x in range(self.core_size) if x in self.graph.right]
         return BipartiteGraph.make(left, right, self.core_edges)
 
-    def attachment_core_neighbors(self, index: int) -> frozenset[int]:
-        """Neighbours *within the core* of copy ``index``'s shared vertex."""
-        info = self.copies[index - 1]
-        out = set()
-        for a, b in self.core_edges:
-            if a == info.core_vertex:
-                out.add(b)
-            elif b == info.core_vertex:
-                out.add(a)
-        return frozenset(out)
-
-    def partition_class(self, iset: frozenset[int] | set[int]) -> int:
-        """First copy index whose shared vertex has no core neighbour in the
-        set; 0 when every attachment is guarded.  This is the class used in
-        the cancellation argument."""
-        for j in range(1, 2 * self.n + self.m + 1):
-            if not (self.attachment_core_neighbors(j) & set(iset)):
-                return j
-        return 0
-
     def to_json(self) -> dict:
         return {
             "n": self.n,

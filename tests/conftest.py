@@ -39,6 +39,17 @@ def flat_hom_count(
     return total
 
 
+def flat_automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Every automorphism as an image tuple, by trying all n! permutations;
+    itertools yields them in lexicographic order."""
+    edges = {frozenset(e) for e in g.edges}
+    return [
+        img
+        for img in itertools.permutations(range(g.n))
+        if {frozenset((img[u], img[v])) for u, v in g.edges} == edges
+    ]
+
+
 def flat_spin(
     n: int,
     pairs: Sequence[tuple[int, int]],

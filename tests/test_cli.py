@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 from pathlib import Path
 
 import pytest
@@ -304,6 +306,57 @@ def test_exit_code_parse_error(capsys, tmp_path):
     bad.write_text("p graph 2 1\ne 1 5\n")
     code = main(["classify", str(bad), "--p", "2"])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (
+            ["wbis", "z", "{f}", "--p", "5", "--lambda-left", "1", "--lambda-right", "1"],
+            "p bip 2 1\nl x\ne 1 2\n",
+        ),
+        (["count", "{f}", "{p4}"], "p graph 2 1\ne 1 2\npin 1 y\n"),
+    ],
+)
+def test_exit_code_non_integer_operand(capsys, files, tmp_path, argv, text):
+    bad = tmp_path / "bad.graph"
+    bad.write_text(text)
+    argv = [a.format(f=bad, p4=files["p4.graph"]) for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line ") and err.count("\n") == 1
+
+
+def test_atlas_jobs_bounded_by_cpu_count(capsys, monkeypatch, tmp_path):
+    sizes: list[int] = []
+
+    class RecordingPool:
+        """Stands in for multiprocessing.Pool: records the size, starts nothing."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    cpus = os.cpu_count() or 1
+    assert main(["atlas", "--max-n", "3", "--jobs", str(cpus + 1)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --jobs") and err.count("\n") == 1
+    conf = tmp_path / "many.json"
+    conf.write_text(json.dumps({"jobs": 10**6}))
+    assert main(["--config", str(conf), "atlas", "--max-n", "3"]) == 1
+    assert sizes == []
+    if cpus > 1:
+        assert main(["atlas", "--max-n", "3", "--jobs", str(cpus)]) == 0
+        assert sizes == [cpus]
 
 
 def test_exit_code_budget(capsys, files, tmp_path):

@@ -12,6 +12,7 @@ from conftest import (
     flat_hom_count,
     forest_of_stars,
     rand_graph,
+    simple_paths,
     spider,
 )
 from modhom.counting import count_homs
@@ -84,6 +85,33 @@ def test_longer_certificate_crosses_unit_degrees():
     cert = find_ab_path(h, 7)
     assert cert is not None
     check_certificate_path(h, cert, 7)
+
+
+def smallest_certificate(h: Graph, p: int) -> tuple[int, ...] | None:
+    """Naive ranking: every endpoint pair, every simple path between them."""
+    cands = []
+    for u in range(h.n):
+        for v in range(h.n):
+            if u == v or h.degree(u) % p == 1 or h.degree(v) % p == 1:
+                continue
+            paths = simple_paths(h, u, v)
+            if len(paths) == 1 and all(h.degree(x) % p == 1 for x in paths[0][1:-1]):
+                cands.append((len(paths[0]), paths[0]))
+    return min(cands)[1] if cands else None
+
+
+def test_certificate_search_matches_naive_ranking():
+    rng = random.Random(RNG_SEED)
+    graphs = [t for n in range(1, 10) for t in nonisomorphic_trees(n)]
+    while len(graphs) < 260:
+        g = rand_graph(rng, rng.randint(3, 7), 0.4)
+        if g.is_connected():
+            graphs.append(g)
+    for h in graphs:
+        for p in (2, 3, 5, 7):
+            cert = find_ab_path(h, p)
+            want = smallest_certificate(h, p)
+            assert (cert.vertices if cert else None) == want
 
 
 def test_certificate_search_requires_connected_input():

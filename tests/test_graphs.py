@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import flat_automorphisms
 from modhom.errors import InputError
 from modhom.graphs import (
     BipartiteGraph,
@@ -22,6 +24,7 @@ from modhom.graphs import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
+    forest_automorphism_count,
     iter_automorphisms,
     nonisomorphic_trees,
     parse_graph,
@@ -40,6 +43,25 @@ def graphs_up_to(n_max: int):
             unique=True,
             max_size=len(pairs),
         ).map(lambda es: Graph.make(n, es))
+
+    return st.integers(min_value=1, max_value=n_max).flatmap(build)
+
+
+def forests_up_to(n_max: int):
+    """Hypothesis strategy for small forests with shuffled vertex labels:
+    each vertex after the first either starts a new tree or hangs from an
+    earlier one."""
+
+    def build(n: int):
+        parents = st.tuples(
+            *(st.one_of(st.none(), st.integers(0, v - 1)) for v in range(1, n))
+        )
+        return st.tuples(parents, st.permutations(range(n))).map(
+            lambda pr: Graph.make(
+                n,
+                [(pr[1][u], pr[1][v]) for v, u in enumerate(pr[0], 1) if u is not None],
+            )
+        )
 
     return st.integers(min_value=1, max_value=n_max).flatmap(build)
 
@@ -143,6 +165,21 @@ def test_parse_multi_allows_repeats():
 
 
 @pytest.mark.parametrize(
+    "text, kind, fragment",
+    [
+        ("p bip 2 1\nl x\ne 1 2\n", "bipartite", "line 2: side vertex must be an integer"),
+        ("p graph 2 1\ne 1 2\npin 1 y\n", "labelled", "line 3: pin vertex and target must be integers"),
+        ("p graph 2 0\npin z 1\n", "labelled", "line 2: pin vertex and target must be integers"),
+        ("p multi 2 0\npin 1 1.5\n", "labelled", "line 2: pin vertex and target must be integers"),
+    ],
+)
+def test_parse_rejects_non_integer_operands(text, kind, fragment):
+    with pytest.raises(InputError) as err:
+        parse_graph(text, kind=kind)
+    assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize(
     "text, fragment",
     [
         ("e 1 2\n", "content before header"),
@@ -195,6 +232,30 @@ def test_iter_automorphisms_matches_group():
     g = star_graph(3)
     listed = {a.images for a in iter_automorphisms(g)}
     assert listed == {a.images for a in automorphism_group(g)}
+
+
+@given(graphs_up_to(7))
+@example(Graph.make(0))
+@example(Graph.make(7))
+@example(complete_graph(6))
+@settings(max_examples=80, deadline=None)
+def test_iter_automorphisms_matches_flat_oracle_in_order(g):
+    assert [a.images for a in iter_automorphisms(g)] == flat_automorphisms(g)
+
+
+@given(forests_up_to(7))
+@example(Graph.make(6, [(0, 1), (2, 3), (4, 5)]))
+@settings(max_examples=80, deadline=None)
+def test_forest_automorphism_count_matches_flat_oracle(g):
+    assert forest_automorphism_count(g) == len(flat_automorphisms(g))
+
+
+def test_forest_automorphism_count_matches_group_on_all_small_trees():
+    for n in range(1, 11):
+        for t in nonisomorphic_trees(n):
+            assert forest_automorphism_count(t) == len(automorphism_group(t))
+    assert forest_automorphism_count(cycle_graph(5)) is None
+    assert forest_automorphism_count(star_graph(20)) == math.factorial(20)
 
 
 def test_are_isomorphic_counterexamples():

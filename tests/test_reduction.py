@@ -13,10 +13,12 @@ from modhom.graphs import (
     Graph,
     are_isomorphic,
     cycle_graph,
+    forest_automorphism_count,
     nonisomorphic_trees,
     path_graph,
     star_graph,
 )
+from modhom import reduction
 from modhom.reduction import (
     find_order_p_automorphism,
     fixed_subgraph,
@@ -43,6 +45,37 @@ def test_order_p_element_beyond_group_enumeration():
     assert rho is not None and rho.order == 2
     with pytest.raises(BudgetExceededError):
         find_order_p_automorphism(star_graph(12), 2)
+
+
+def test_order_p_element_exists_iff_p_divides_forest_group_order():
+    for n in range(9, 13):
+        for t in nonisomorphic_trees(n):
+            order = forest_automorphism_count(t)
+            for p in (2, 3, 5, 7):
+                rho = find_order_p_automorphism(t, p)
+                if order % p:
+                    assert rho is None
+                else:
+                    assert rho is not None and rho.order == p
+                    assert rho.is_automorphism_of(t)
+
+
+def test_forest_shortcut_skips_the_search(monkeypatch):
+    def no_search(h):
+        raise AssertionError("automorphisms enumerated")
+
+    monkeypatch.setattr(reduction, "iter_automorphisms", no_search)
+    # double star with 5 + 5 leaves: |Aut| = 5! * 5! * 2, not divisible by 7
+    t = Graph.make(12, [(0, 1)] + [(0, v) for v in range(2, 7)] + [(1, v) for v in range(7, 12)])
+    assert find_order_p_automorphism(t, 7) is None
+
+
+def test_empty_search_on_a_forest_fails_the_cauchy_check(monkeypatch):
+    monkeypatch.setattr(reduction, "iter_automorphisms", lambda h: iter(()))
+    with pytest.raises(AssertionError, match="Cauchy criterion violated"):
+        find_order_p_automorphism(star_graph(9), 3)
+    # off forests there is no exact group order to check against
+    assert find_order_p_automorphism(cycle_graph(9), 3) is None
 
 
 def test_fixed_subgraph_of_path_flip():
