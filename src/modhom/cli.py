@@ -14,9 +14,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-import sympy
-
-from .counting import ZpScalar, count_homs, state_budget_default
+from .counting import ZpScalar, count_homs, is_prime, state_budget_default
 from .crossred import (
     connbis_transform,
     count_homs_mod_composite,
@@ -40,15 +38,13 @@ from .wbis import (
 @dataclass(frozen=True)
 class RunConfig:
     """Defaults shared by the subcommands; a JSON config file may set any
-    field and explicit flags win.  ``seed`` is honoured by randomized dev
-    sweeps only — the shipped subcommands are deterministic."""
+    field and explicit flags win."""
 
     iso_bound: int = 12
     state_budget: int = field(default_factory=state_budget_default)
     search_m_cap: int | None = None
     primes: tuple[int, ...] = (2, 3, 5)
     jobs: int = 1
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.iso_bound <= 0 or self.state_budget <= 0 or self.jobs <= 0:
@@ -56,7 +52,7 @@ class RunConfig:
         if self.search_m_cap is not None and self.search_m_cap < 2:
             raise InputError("search family cap must be at least 2")
         for p in self.primes:
-            if not sympy.isprime(p):
+            if not is_prime(p):
                 raise InputError(f"{p} is not prime")
 
     @classmethod
@@ -97,11 +93,12 @@ def _parse_primes(text: str) -> tuple[int, ...]:
 def _cmd_count(args: argparse.Namespace) -> int:
     g = _read(args.source, "labelled")
     h = _read(args.target, "simple")
-    if args.mod is not None and not sympy.isprime(args.mod):
-        result = count_homs_mod_composite(g, h, args.mod)
+    budget = args.config.state_budget
+    if args.mod is not None and not is_prime(args.mod):
+        result = count_homs_mod_composite(g, h, args.mod, state_budget=budget)
         _emit(result.to_json())
         return 0
-    result = count_homs(g, h, args.mod, state_budget=args.config.state_budget)
+    result = count_homs(g, h, args.mod, state_budget=budget)
     _emit(
         {
             "exact": result.exact,
@@ -175,7 +172,8 @@ def _cmd_spin_z(args: argparse.Namespace) -> int:
 
 def _cmd_spin_classify(args: argparse.Namespace) -> int:
     sp = _spin_params(args)
-    result = classify_spin(sp, max_m=args.max_m, entry_cap=args.entry_cap)
+    max_m = args.max_m if args.max_m is not None else args.config.search_m_cap
+    result = classify_spin(sp, max_m=max_m, entry_cap=args.entry_cap)
     _emit(result.to_json())
     return 0
 
@@ -313,7 +311,7 @@ def _cmd_atlas(args: argparse.Namespace) -> int:
         _parse_primes(args.primes) if args.primes else args.config.primes
     )
     for p in primes:
-        if not sympy.isprime(p):
+        if not is_prime(p):
             raise InputError(f"{p} is not prime")
     jobs = args.jobs if args.jobs is not None else args.config.jobs
     if jobs <= 0:

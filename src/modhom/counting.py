@@ -1,10 +1,11 @@
 """Homomorphism counting, walk counting, pinned-count vectors and probes.
 
-The counters here are exact: the backtracking enumerator visits every
-homomorphism (with edge-consistency pruning), walk counts go through
-arbitrary-precision adjacency powers, and the subdivision-aware counter sums
-walk-matrix entries over assignments of a small skeleton.  Budgets are
-explicit — an instance that is too large raises
+The counters here are exact.  A hom count is a partition sum over the
+source with domain V(H) and edge matrix A(H), evaluated by the variable-
+elimination engine in :mod:`modhom.elimination`; the subdivision-aware
+counter uses the same engine with A(H)^ℓ on an edge of length ℓ.  Walk
+counts go through arbitrary-precision adjacency powers.  Budgets are
+explicit — an instance whose largest elimination table is too large raises
 :class:`BudgetExceededError` instead of running forever.
 """
 
@@ -16,8 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
-import sympy
-
+from .elimination import partition_sum
 from .errors import BudgetExceededError, InputError
 from .graphs import (
     DistinguishedGraph,
@@ -28,13 +28,45 @@ from .graphs import (
 )
 
 STATE_BUDGET_DEFAULT = 10**8
-SUBDIVIDED_FREE_BUDGET = 8
 TUPLE_BUDGET = 10**5
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson & Webster, Math. Comp. 2017).
+PRIME_TEST_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality test for n < PRIME_TEST_BOUND (about
+    3.3·10^24); larger n raise InputError."""
+    if n >= PRIME_TEST_BOUND:
+        raise InputError(
+            f"{n} is beyond the primality test's bound {PRIME_TEST_BOUND}"
+        )
+    if n < 2:
+        return False
+    for b in PRIME_TEST_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in PRIME_TEST_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)
 def _assert_prime(p: int) -> None:
-    if not sympy.isprime(p):
+    if not is_prime(p):
         raise InputError(f"modulus {p} is not prime")
 
 
@@ -127,7 +159,7 @@ class HomCount:
 
 
 def state_budget_default() -> int:
-    """Budget for the a-priori |V(H)|^free state count, env-overridable."""
+    """Budget for the largest elimination table, env-overridable."""
     raw = os.environ.get("MODHOM_BUDGET_STATES")
     if raw is None:
         return STATE_BUDGET_DEFAULT
@@ -165,9 +197,10 @@ def count_homs(
 ) -> HomCount:
     """Count maps V(G) -> V(H) preserving every edge and respecting pins.
 
-    Backtracks over the vertices of each component (pinned vertices first,
-    then by decreasing degree), pruning candidates against already-assigned
-    neighbours.  With ``p`` the result also carries the residue mod p.
+    Exact, by variable elimination over the source: every vertex ranges over
+    V(H), a pinned one over its pin alone, and every edge carries A(H).
+    ``state_budget`` (default :func:`state_budget_default`) caps the largest
+    elimination table.  With ``p`` the result also carries the residue mod p.
     """
     j = _as_labelled(j)
     if isinstance(j.base, Multigraph):
@@ -178,64 +211,27 @@ def count_homs(
         _assert_prime(p)
 
     budget = state_budget if state_budget is not None else state_budget_default()
-    free = g.n - len(pins)
-    if h.n > 1 and free > 0 and h.n**free > budget:
-        raise BudgetExceededError(
-            f"state budget exceeded: {h.n}^{free} > {budget}"
-        )
-
-    total = 1
-    for comp in g.components():
-        total *= _count_component(g, comp, pins, h)
-        if total == 0:
-            break
+    adj = _adjacency_matrix(h)
+    total = partition_sum(
+        _pinned_weights(g.n, pins, h.n),
+        [(u, v, adj) for u, v in g.edges],
+        None,
+        budget,
+    )
     residue = ZpScalar(total % p, p) if p is not None else None
     return HomCount(exact=total, residue=residue)
 
 
-def _count_component(
-    g: Graph, comp: Sequence[int], pins: Mapping[int, int], h: Graph
-) -> int:
-    # Isolated free vertices contribute a clean factor of |V(H)|.
-    if len(comp) == 1:
-        v = comp[0]
-        return 1 if v in pins else h.n
-    order = sorted(comp, key=lambda v: (v not in pins, -g.degree(v), v))
-    assignment: dict[int, int] = {}
-    for v in order:
-        if v in pins:
-            assignment[v] = pins[v]
-    # Verify pinned-pinned edges up front.
-    for v in order:
-        if v in pins:
-            for u in g.neighbors(v):
-                if u in pins and not h.has_edge(pins[v], pins[u]):
-                    return 0
-    free_order = [v for v in order if v not in pins]
-
-    count = 0
-
-    def extend(i: int) -> None:
-        nonlocal count
-        if i == len(free_order):
-            count += 1
-            return
-        v = free_order[i]
-        candidates: set[int] | None = None
-        for u in g.neighbors(v):
-            if u in assignment:
-                nbrs = h.neighbors(assignment[u])
-                candidates = set(nbrs) if candidates is None else candidates & nbrs
-                if not candidates:
-                    return
-        pool = candidates if candidates is not None else range(h.n)
-        for w in pool:
-            assignment[v] = w
-            extend(i + 1)
-            del assignment[v]
-
-    extend(0)
-    return count
+def _pinned_weights(
+    n: int, pins: Mapping[int, int], target_n: int
+) -> list[list[int]]:
+    """Weight 1 on every target vertex, or only on the pin."""
+    return [
+        [int(t == pins[v]) for t in range(target_n)]
+        if v in pins
+        else [1] * target_n
+        for v in range(n)
+    ]
 
 
 def enumerate_homs(
@@ -300,13 +296,17 @@ def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return out
 
 
+def _adjacency_matrix(h: Graph) -> list[list[int]]:
+    return [[int(h.has_edge(i, j)) for j in range(h.n)] for i in range(h.n)]
+
+
 def adjacency_power(h: Graph, k: int) -> list[list[int]]:
     """A(h)^k over arbitrary-precision integers (k >= 0)."""
     if k < 0:
         raise InputError("walk length must be >= 0")
     n = h.n
     result = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    base = [[1 if h.has_edge(i, j) else 0 for j in range(n)] for i in range(n)]
+    base = _adjacency_matrix(h)
     while k:
         if k & 1:
             result = _mat_mul(result, base)
@@ -328,17 +328,13 @@ def count_homs_subdivided(
     pins: Mapping[int, int],
     h: Graph,
     p: int,
-    *,
-    free_budget: int = SUBDIVIDED_FREE_BUDGET,
 ) -> ZpScalar:
     """Hom count into ``h`` of the graph obtained by subdividing each skeleton
     edge into a path of its length, mod p.
 
     Equivalent to flat counting on the expanded graph: a length-ℓ edge
-    contributes the (σ(u),σ(v)) entry of A(h)^ℓ, and we sum the product of
-    these entries over all assignments of the skeleton vertices.  Free
-    skeleton vertices are budgeted (default 8); their domains are pre-filtered
-    through edges to pinned vertices.
+    contributes the (σ(u),σ(v)) entry of A(h)^ℓ, and the engine sums the
+    product of these entries over all assignments of the skeleton vertices.
     """
     _assert_prime(p)
     norm_lengths: dict[tuple[int, int], int] = {}
@@ -357,82 +353,16 @@ def count_homs_subdivided(
         if not 0 <= t < h.n:
             raise InputError(f"pin target {t} out of range")
 
-    free = [v for v in skeleton.vertices() if v not in pins]
-    if len(free) > free_budget:
-        raise BudgetExceededError(
-            f"free skeleton vertices {len(free)} > budget {free_budget}"
-        )
-    if h.n == 0:
-        return ZpScalar.of(1 if skeleton.n == 0 else 0, p)
-
-    powers = {ell: adjacency_power(h, ell) for ell in set(norm_lengths.values())}
-
-    # Constant factor from pinned-pinned edges.
-    const = 1
-    for (u, v), ell in norm_lengths.items():
-        if u in pins and v in pins:
-            const *= powers[ell][pins[u]][pins[v]] % p
-            const %= p
-    if const == 0:
-        return ZpScalar.of(0, p)
-
-    # Domain restriction: structural zeros of walk matrices prune candidates.
-    domains: dict[int, list[int]] = {}
-    for v in free:
-        dom = list(range(h.n))
-        for (a, b), ell in norm_lengths.items():
-            other = None
-            if a == v and b in pins:
-                other = pins[b]
-            elif b == v and a in pins:
-                other = pins[a]
-            if other is not None:
-                mat = powers[ell]
-                dom = [w for w in dom if mat[other][w] > 0]
-        if not dom:
-            return ZpScalar.of(0, p)
-        domains[v] = dom
-
-    free_order = sorted(free, key=lambda v: (len(domains[v]), v))
-    position = {v: i for i, v in enumerate(free_order)}
-    assignment: dict[int, int] = dict(pins)
-
-    # Edges to account for when a free vertex is placed: those whose other
-    # endpoint is pinned or earlier in the order.
-    edges_at: dict[int, list[tuple[int, int]]] = {v: [] for v in free_order}
-    for (a, b), ell in norm_lengths.items():
-        if a in pins and b in pins:
-            continue
-        if a in pins:
-            edges_at[b].append((a, ell))
-        elif b in pins:
-            edges_at[a].append((b, ell))
-        else:
-            later = a if position[a] > position[b] else b
-            other = b if later == a else a
-            edges_at[later].append((other, ell))
-
-    total = 0
-
-    def extend(i: int, partial: int) -> None:
-        nonlocal total
-        if i == len(free_order):
-            total = (total + partial) % p
-            return
-        v = free_order[i]
-        for w in domains[v]:
-            factor = 1
-            for other, ell in edges_at[v]:
-                factor = factor * powers[ell][assignment[other]][w] % p
-                if factor == 0:
-                    break
-            if factor == 0:
-                continue
-            assignment[v] = w
-            extend(i + 1, partial * factor % p)
-            del assignment[v]
-
-    extend(0, const)
+    powers = {
+        ell: [[x % p for x in row] for row in adjacency_power(h, ell)]
+        for ell in set(norm_lengths.values())
+    }
+    total = partition_sum(
+        _pinned_weights(skeleton.n, pins, h.n),
+        [(u, v, powers[ell]) for (u, v), ell in norm_lengths.items()],
+        p,
+        state_budget_default(),
+    )
     return ZpScalar.of(total, p)
 
 

@@ -11,30 +11,31 @@ sides computed by independent code paths:
 * the factor-two correspondence between independent sets of a connected
   bipartite graph and its homomorphisms into the 4-path.
 
-A small CRT helper reconstructs composite-modulus hom counts from the
-per-prime residues.
+Composite-modulus hom counts reduce the exact count by the modulus and by
+each of its prime factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import sympy.ntheory.modular
-
 from .counting import (
+    PRIME_TEST_BOUND,
     HomCount,
     ZpScalar,
     count_homs,
     count_homs_subdivided,
     enumerate_homs,
+    is_prime,
 )
 from .dichotomy import AbPath, find_ab_path
-from .errors import InputError
+from .errors import BudgetExceededError, InputError
 from .graphs import BipartiteGraph, Graph, PartiallyLabelledGraph, path_graph
 from .wbis import WbisWeights, count_independent_sets, enumerate_independent_sets, z_wbis
 
 FLAT_CHECK_STATES = 10**7
 AUDIT_STATES = 10**5
+TRIAL_DIVISION_BOUND = 10**6
 
 
 @dataclass(frozen=True)
@@ -370,7 +371,7 @@ def verify_p4_identity(g: BipartiteGraph) -> P4Report:
 
 @dataclass(frozen=True)
 class CompositeCount:
-    """A hom count modulo a squarefree composite, stitched from prime parts."""
+    """A hom count modulo a squarefree composite, with its prime parts."""
 
     modulus: int
     residue: int
@@ -384,28 +385,48 @@ class CompositeCount:
         }
 
 
+def _prime_factors(k: int) -> dict[int, int]:
+    """Factorization of k >= 2 by trial division up to TRIAL_DIVISION_BOUND;
+    a cofactor left above the bound must pass the primality test."""
+    factors: dict[int, int] = {}
+    d = 2
+    while d * d <= k:
+        if d > TRIAL_DIVISION_BOUND:
+            if k >= PRIME_TEST_BOUND or not is_prime(k):
+                raise BudgetExceededError(
+                    f"cannot factor the modulus: cofactor {k} has no prime "
+                    f"factor up to {TRIAL_DIVISION_BOUND}"
+                )
+            break
+        while k % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            k //= d
+        d += 1 if d == 2 else 2
+    if k > 1:
+        factors[k] = factors.get(k, 0) + 1
+    return factors
+
+
 def count_homs_mod_composite(
-    j: Graph | PartiallyLabelledGraph, h: Graph, k: int
+    j: Graph | PartiallyLabelledGraph,
+    h: Graph,
+    k: int,
+    *,
+    state_budget: int | None = None,
 ) -> CompositeCount:
-    """Count homomorphisms mod a squarefree ``k`` by CRT over its prime
-    factors.  Non-squarefree moduli are rejected: a residue mod p does not
-    determine the residue mod p², so the per-prime counters cannot be
-    combined."""
+    """Count homomorphisms mod a squarefree ``k``: the exact count reduced
+    mod k and mod each prime factor.  Non-squarefree moduli are rejected,
+    because the per-prime parts determine a residue mod k only when k is
+    squarefree.  ``state_budget`` is passed to :func:`count_homs`."""
     if k < 2:
         raise InputError("modulus must be at least 2")
-    factors = sympy.factorint(k)
+    factors = _prime_factors(k)
     if any(e > 1 for e in factors.values()):
         raise InputError(f"modulus {k} is not squarefree")
-    primes = sorted(factors)
-    parts = []
-    for p in primes:
-        res = count_homs(j, h, p).residue
-        assert res is not None
-        parts.append((p, res.value))
-    value, modulus = sympy.ntheory.modular.crt(
-        [p for p, _ in parts], [r for _, r in parts]
-    )
-    assert modulus == k
+    exact = count_homs(j, h, state_budget=state_budget).exact
+    assert exact is not None
     return CompositeCount(
-        modulus=k, residue=int(value) % k, parts=tuple(parts)
+        modulus=k,
+        residue=exact % k,
+        parts=tuple((p, exact % p) for p in sorted(factors)),
     )

@@ -243,8 +243,8 @@ def _cb_decomposition(h: Graph) -> CompleteBipartiteDecomposition | None:
         return None
     parts = []
     for comp in rep.components:
-        color, bad = _two_color(h, comp)
-        assert bad is None
+        color, ok = _two_color(h, comp)
+        assert ok
         left = tuple(v for v in comp if color[v] == 0)
         right = tuple(v for v in comp if color[v] == 1)
         parts.append((left, right))
@@ -369,8 +369,8 @@ def count_homs_polytime(g: Graph, h: Graph, p: int) -> HomCount:
     Each connected piece of ``g`` independently picks a target component and
     a side assignment; the count is a product over pieces of a sum over
     target components of two monomials in the side sizes.  Runs in time
-    linear in ``g`` (no enumeration), so it scales to inputs far beyond the
-    backtracking counter.
+    linear in ``g`` (no enumeration), so it scales to dense inputs beyond
+    the elimination engine.
     """
     _assert_prime(p)
     decomposition = _cb_decomposition(h)
@@ -382,8 +382,8 @@ def count_homs_polytime(g: Graph, h: Graph, p: int) -> HomCount:
 
     total = 1
     for comp in g.components():
-        color, bad = _two_color(g, comp)
-        if bad is not None:
+        color, ok = _two_color(g, comp)
+        if not ok:
             return HomCount(exact=0, residue=ZpScalar.of(0, p))
         nl = sum(1 for v in comp if color[v] == 0)
         nr = len(comp) - nl

@@ -565,11 +565,10 @@ class StructureReport:
     is_complete_bipartite_per_component: tuple[bool, ...]
 
 
-def _two_color(g: Graph, comp: Sequence[int]) -> tuple[dict[int, int], tuple[int, ...] | None]:
-    """2-colour one component; on failure return a closed odd walk."""
+def _two_color(g: Graph, comp: Sequence[int]) -> tuple[dict[int, int], bool]:
+    """2-colour one component; the flag says whether that succeeded."""
     root = min(comp)
     color = {root: 0}
-    parent = {root: None}
     frontier = [root]
     while frontier:
         nxt = []
@@ -577,24 +576,11 @@ def _two_color(g: Graph, comp: Sequence[int]) -> tuple[dict[int, int], tuple[int
             for w in sorted(g.neighbors(v)):
                 if w not in color:
                     color[w] = 1 - color[v]
-                    parent[w] = v
                     nxt.append(w)
                 elif color[w] == color[v]:
-                    # walk v -> root -> w plus edge (w, v) closes an odd walk
-                    up_v = []
-                    x: int | None = v
-                    while x is not None:
-                        up_v.append(x)
-                        x = parent[x]
-                    up_w = []
-                    x = w
-                    while x is not None:
-                        up_w.append(x)
-                        x = parent[x]
-                    walk = list(reversed(up_v)) + up_w + [v]
-                    return color, tuple(walk)
+                    return color, False
         frontier = nxt
-    return color, None
+    return color, True
 
 
 def analyze_structure(g: Graph) -> StructureReport:
@@ -608,8 +594,8 @@ def analyze_structure(g: Graph) -> StructureReport:
     color_all: dict[int, int] = {}
     bipartite = True
     for comp in comps:
-        color, bad = _two_color(g, comp)
-        if bad is not None:
+        color, ok = _two_color(g, comp)
+        if not ok:
             bipartite = False
         else:
             color_all.update(color)
@@ -626,8 +612,8 @@ def analyze_structure(g: Graph) -> StructureReport:
 
     cb_flags = []
     for comp in comps:
-        color, bad = _two_color(g, comp)
-        if bad is not None:
+        color, ok = _two_color(g, comp)
+        if not ok:
             cb_flags.append(False)
             continue
         x = sum(1 for v in comp if color[v] == 0)

@@ -4,7 +4,10 @@ computer-assisted gadget search.
 The model assigns each vertex a spin in {0,1}; a configuration contributes
 gamma^(number of edges, loops and multiplicities included, whose endpoints
 are both 1) times lambda^(number of 0-vertices).  Pinning fixes some spins
-up front (pinned vertices still contribute their weights).
+up front (pinned vertices still contribute their weights).  The sum is
+evaluated by the variable-elimination engine in :mod:`modhom.elimination`
+with vertex weights (lambda, gamma^loops) and edge matrix
+[[1, 1], [1, gamma^mult]].
 
 Gadgets are built from components sharing one distinguished vertex x plus a
 bundle of parallel edges to a pinned partner y.  For each component the two
@@ -24,11 +27,11 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from .counting import ZpScalar, _assert_prime
+from .counting import ZpScalar, _assert_prime, state_budget_default
+from .elimination import partition_sum
 from .errors import BudgetExceededError, InputError
 from .graphs import Graph, Multigraph, PartiallyLabelledGraph
 
-SPIN_FREE_BUDGET = 24
 EXPLICIT_VALIDATION_VERTICES = 20
 CLIQUE_CHECK_BOUND = 12
 LITERAL_PREFIX_CAP = 300_000
@@ -92,113 +95,42 @@ def _as_pinned(j: Graph | Multigraph | PartiallyLabelledGraph) -> tuple[Multigra
     return base, pins
 
 
-def _spin_eval(
-    active: frozenset[int],
-    adj: dict[int, dict[int, int]],
-    w0: dict[int, int],
-    w1: dict[int, int],
-    gamma: int,
-    p: int,
-) -> int:
-    """Sum over spin assignments of the active vertices, with per-vertex
-    weights (w0, w1); setting a vertex to 1 multiplies each remaining
-    neighbour's 1-weight by gamma^multiplicity."""
-    if not active:
-        return 1
-    # connected components of the active subgraph
-    comps: list[frozenset[int]] = []
-    seen: set[int] = set()
-    for s in sorted(active):
-        if s in seen:
-            continue
-        comp = {s}
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for u in adj[x]:
-                if u in active and u not in comp:
-                    comp.add(u)
-                    stack.append(u)
-        seen |= comp
-        comps.append(frozenset(comp))
-    if len(comps) > 1:
-        out = 1
-        for comp in comps:
-            out = out * _spin_eval(comp, adj, w0, w1, gamma, p) % p
-        return out
-
-    comp = comps[0]
-    pivot = max(comp, key=lambda u: (sum(1 for t in adj[u] if t in comp), -u))
-    rest = comp - {pivot}
-    total = w0[pivot] * _spin_eval(rest, adj, w0, w1, gamma, p) % p
-    w1b = dict(w1)
-    for u, mult in adj[pivot].items():
-        if u in rest:
-            w1b[u] = w1b[u] * pow(gamma, mult, p) % p
-    total = (total + w1[pivot] * _spin_eval(rest, adj, w0, w1b, gamma, p)) % p
-    return total
-
-
 def _z_spin_general(
     j: Graph | Multigraph | PartiallyLabelledGraph,
     gamma: ZpScalar,
     vertex_weight: ZpScalar,
     weight_on: str,
-    *,
-    free_budget: int = SPIN_FREE_BUDGET,
 ) -> ZpScalar:
+    """The engine with domain {0, 1}, vertex weights (w0, w1 · gamma^loops),
+    where ``vertex_weight`` sits on the zeros or the ones, and edge matrix
+    [[1, 1], [1, gamma^mult]]; a pin zeroes the other spin's weight."""
     base, pins = _as_pinned(j)
     p = gamma.modulus
     gv = gamma.value
     wv = vertex_weight.value
     zero_w, one_w = (wv, 1) if weight_on == "zeros" else (1, wv)
-
-    free = [v for v in range(base.n) if v not in pins]
-    if len(free) > free_budget:
-        raise BudgetExceededError(
-            f"{len(free)} free vertices exceed budget {free_budget}"
-        )
-
-    const = 1
-    for v, s in pins.items():
-        if s == 0:
-            const = const * zero_w % p
-        else:
-            const = const * one_w % p * pow(gv, base.loops(v), p) % p
+    weights = [[zero_w, one_w] for _ in range(base.n)]
+    edges = []
     for u, v, mult in base.edges:
-        if u != v and pins.get(u) == 1 and pins.get(v) == 1:
-            const = const * pow(gv, mult, p) % p
-    if const == 0:
-        return ZpScalar.of(0, p)
-
-    adj: dict[int, dict[int, int]] = {v: {} for v in free}
-    w0 = {v: zero_w % p for v in free}
-    w1 = {}
-    for v in free:
-        w = one_w % p * pow(gv, base.loops(v), p) % p
-        for u, mult in base.neighbors(v).items():
-            if pins.get(u) == 1:
-                w = w * pow(gv, mult, p) % p
-            elif u not in pins:
-                adj[v][u] = mult
-        w1[v] = w
-
-    total = _spin_eval(frozenset(free), adj, w0, w1, gv, p)
-    return ZpScalar.of(const * total, p)
+        factor = pow(gv, mult, p)
+        if u == v:
+            weights[u][1] *= factor
+        else:
+            edges.append((u, v, ((1, 1), (1, factor))))
+    for v, s in pins.items():
+        weights[v][1 - s] = 0
+    return ZpScalar.of(partition_sum(weights, edges, p, state_budget_default()), p)
 
 
 def z_spin(
-    j: Graph | Multigraph | PartiallyLabelledGraph,
-    sp: SpinParams,
-    *,
-    free_budget: int = SPIN_FREE_BUDGET,
+    j: Graph | Multigraph | PartiallyLabelledGraph, sp: SpinParams
 ) -> ZpScalar:
     """Partition function mod p over all spin assignments extending the pins.
 
     Loops at a 1-vertex contribute gamma once per multiplicity; pinned
     0-vertices still contribute their lambda factor.
     """
-    return _z_spin_general(j, sp.gamma, sp.lam, "zeros", free_budget=free_budget)
+    return _z_spin_general(j, sp.gamma, sp.lam, "zeros")
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,12 @@ counting reduction from CNF satisfiability.
 
 The partition function here sums, over independent sets of a two-sided
 graph, a weight ``lambda_l`` per chosen left vertex times ``lambda_r`` per
-chosen right vertex.  Three evaluators cover increasing scales: literal
-subset enumeration (the oracle), memoized branching with component
-splitting, and a vectorized side-trace sweep for graphs whose smaller side
-fits in ~26 bits.  On top of these sit the gadget family ``build_B`` /
+chosen right vertex.  It is evaluated by the variable-elimination engine
+in :mod:`modhom.elimination` (domain {out, in}, weights (1, λ_side), edge
+matrix [[1, 1], [1, 0]]).  Two independent evaluators stay as cross-checks:
+literal subset enumeration (the oracle) and a vectorized side-trace sweep
+for graphs whose smaller side fits in ~26 bits.  On top of these sit the
+gadget family ``build_B`` /
 ``select_gadget`` — complete bipartite graphs minus a partial matching,
 tuned so the full graph's partition function vanishes mod p while two
 one-vertex deletions do not — and the CNF reduction ``build_G_phi`` /
@@ -16,18 +18,20 @@ one-vertex deletions do not — and the CNF reduction ``build_G_phi`` /
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .counting import ZpScalar, _assert_prime
+from .counting import ZpScalar, _assert_prime, state_budget_default
+from .elimination import partition_sum
 from .errors import BudgetExceededError, InputError
 from .graphs import BipartiteGraph, Graph
 
 SUBSET_BOUND = 24
 BRANCH_BUDGET = 40
 SIDE_TRACE_BITS = 26
-BRANCH_STATE_CAP = 2_000_000
+# Independent-set indicator on an edge: both ends "in" is forbidden.
+_IS_EDGE = ((1, 1), (1, 0))
 
 
 @dataclass(frozen=True)
@@ -65,123 +69,37 @@ def _adjacency_masks(g: Graph) -> list[int]:
     return masks
 
 
-def _mask_components(alive: int, masks: Sequence[int]) -> list[int]:
-    comps = []
-    rem = alive
-    while rem:
-        v = (rem & -rem).bit_length() - 1
-        comp = 1 << v
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            new = masks[x] & alive & ~comp
-            while new:
-                y = (new & -new).bit_length() - 1
-                comp |= 1 << y
-                stack.append(y)
-                new &= new - 1
-        comps.append(comp)
-        rem &= ~comp
-    return comps
-
-
-def _weighted_is_sum(
-    alive: int,
-    masks: Sequence[int],
-    weights: Sequence[int],
+def _independent_set_sum(
+    edges: Iterable[tuple[int, int]],
+    weights: Sequence[tuple[int, int]],
     mod: int | None,
-    *,
-    state_cap: int = BRANCH_STATE_CAP,
 ) -> int:
-    """Sum of products of vertex weights over independent subsets of the
-    ``alive`` vertex set (the empty set contributes 1).
-
-    Branches on a maximum-degree vertex, splits into connected components,
-    and memoizes on the alive-mask.  Exact over the integers when ``mod`` is
-    None.
-    """
-    memo: dict[int, int] = {}
-    calls = 0
-
-    def solve(live: int) -> int:
-        nonlocal calls
-        if live == 0:
-            return 1
-        cached = memo.get(live)
-        if cached is not None:
-            return cached
-        calls += 1
-        if calls > state_cap:
-            raise BudgetExceededError("independent-set branching state cap hit")
-        comps = _mask_components(live, masks)
-        if len(comps) > 1:
-            out = 1
-            for comp in comps:
-                out *= solve(comp)
-                if mod is not None:
-                    out %= mod
-        else:
-            comp = comps[0]
-            pivot, top = -1, -1
-            mm = comp
-            while mm:
-                v = (mm & -mm).bit_length() - 1
-                d = bin(masks[v] & comp).count("1")
-                if d > top:
-                    pivot, top = v, d
-                mm &= mm - 1
-            out = solve(comp & ~(1 << pivot)) + weights[pivot] * solve(
-                comp & ~((1 << pivot) | masks[pivot])
-            )
-            if mod is not None:
-                out %= mod
-        memo[live] = out
-        return out
-
-    return solve(alive)
-
-
-def _side_weights(g: BipartiteGraph, wl: int, wr: int) -> list[int]:
-    return [wl if v in g.left else wr for v in range(g.n)]
-
-
-def _z_int(
-    g: BipartiteGraph, wl: int, wr: int, mod: int | None, budget: int
-) -> int:
-    if g.n > budget:
-        raise BudgetExceededError(f"graph has {g.n} vertices, budget {budget}")
-    weights = _side_weights(g, wl, wr)
-    masks = _adjacency_masks(g.to_graph())
-    alive = 0
-    for v in range(g.n):
-        w = weights[v] % mod if mod is not None else weights[v]
-        # A zero-weight vertex contributes only through sets avoiding it, so
-        # it can be deleted outright.
-        if w != 0:
-            alive |= 1 << v
-    return _weighted_is_sum(alive, masks, weights, mod)
-
-
-def z_wbis(
-    g: BipartiteGraph, w: WbisWeights, *, budget: int = BRANCH_BUDGET
-) -> ZpScalar:
-    """The two-weight independent-set partition function mod p.
-
-    A side weight of zero collapses to the closed form (other+1)^side-size;
-    that happens naturally here because zero-weight vertices are deleted
-    before branching.  Agrees with literal subset enumeration (tested) and
-    with the side-trace evaluator on their overlap.
-    """
-    return ZpScalar.of(
-        _z_int(g, w.lambda_l.value, w.lambda_r.value, w.p, budget), w.p
+    """Σ over independent sets of the product of the members' weights; each
+    vertex has weights (not in the set, in the set)."""
+    return partition_sum(
+        weights, [(u, v, _IS_EDGE) for u, v in edges], mod, state_budget_default()
     )
 
 
-def z_wbis_exact(
-    g: BipartiteGraph, lambda_l: int, lambda_r: int, *, budget: int = BRANCH_BUDGET
-) -> int:
+def _side_weights(g: BipartiteGraph, wl: int, wr: int) -> list[tuple[int, int]]:
+    return [(1, wl if v in g.left else wr) for v in range(g.n)]
+
+
+def z_wbis(g: BipartiteGraph, w: WbisWeights) -> ZpScalar:
+    """The two-weight independent-set partition function mod p.
+
+    A side weight of zero collapses to the closed form (other+1)^side-size;
+    that happens naturally here because the engine drops zero-weight values.
+    Agrees with literal subset enumeration (tested) and with the side-trace
+    evaluator on their overlap.
+    """
+    weights = _side_weights(g, w.lambda_l.value, w.lambda_r.value)
+    return ZpScalar.of(_independent_set_sum(g.edges, weights, w.p), w.p)
+
+
+def z_wbis_exact(g: BipartiteGraph, lambda_l: int, lambda_r: int) -> int:
     """Same sum evaluated over the integers (weights given as plain ints)."""
-    return _z_int(g, lambda_l, lambda_r, None, budget)
+    return _independent_set_sum(g.edges, _side_weights(g, lambda_l, lambda_r), None)
 
 
 def enumerate_independent_sets(
@@ -309,15 +227,10 @@ def z_wbis_flat(
     return ZpScalar.of(total, p)
 
 
-def count_independent_sets(
-    g: Graph | BipartiteGraph, *, budget: int = BRANCH_BUDGET
-) -> int:
-    """|I(G)| exactly, via the same branching engine with unit weights."""
+def count_independent_sets(g: Graph | BipartiteGraph) -> int:
+    """|I(G)| exactly: the same sum with unit weights."""
     base = g.to_graph() if isinstance(g, BipartiteGraph) else g
-    if base.n > budget:
-        raise BudgetExceededError(f"graph has {base.n} vertices, budget {budget}")
-    masks = _adjacency_masks(base)
-    return _weighted_is_sum((1 << base.n) - 1, masks, [1] * base.n, None)
+    return _independent_set_sum(base.edges, [(1, 1)] * base.n, None)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +244,7 @@ class SplitSumReport:
     ``left_only`` and ``right_only`` are the closed forms (λ+1)^side-size;
     both include the empty set, hence the -1 in the identity.  ``mixed``
     sums over sets meeting both sides, computed by census up to 24 vertices
-    (and then re-checked against the branching total) or derived from the
+    (and then re-checked against the engine's total) or derived from the
     total beyond that.
     """
 
@@ -364,9 +277,7 @@ class SplitSumReport:
         return out
 
 
-def split_sum_report(
-    g: BipartiteGraph, w: WbisWeights, *, budget: int = BRANCH_BUDGET
-) -> SplitSumReport:
+def split_sum_report(g: BipartiteGraph, w: WbisWeights) -> SplitSumReport:
     """Decompose the partition function by which sides a set touches.
 
     All arithmetic is exact over the integers, using the canonical residue
@@ -375,7 +286,7 @@ def split_sum_report(
     ll, lr = w.lambda_l.value, w.lambda_r.value
     left_only = (ll + 1) ** len(g.left)
     right_only = (lr + 1) ** len(g.right)
-    total = z_wbis_exact(g, ll, lr, budget=budget)
+    total = z_wbis_exact(g, ll, lr)
     derived_mixed = total - left_only - right_only + 1
     if g.n <= SUBSET_BOUND:
         census = 0
@@ -387,7 +298,7 @@ def split_sum_report(
         if census != derived_mixed:
             raise RuntimeError(
                 "internal verification failure: mixed-set census disagrees "
-                "with branching total"
+                "with the evaluated total"
             )
         return SplitSumReport(
             left_only, right_only, census, total, w.p, "census"
@@ -935,77 +846,35 @@ class SatReductionReport:
         }
 
 
-CORE_ENUM_BOUND = 26
-
-
 def verify_sat_reduction(phi: CnfFormula, w: WbisWeights) -> SatReductionReport:
     """Check Z(G) ≡ K · #sat (mod p) for the CNF construction.
 
     The left side is evaluated by cut-vertex decomposition: every gadget
     copy meets the rest of the graph in a single shared vertex, so its
     contribution conditioned on that vertex's membership is a fixed scalar
-    (the gadget's f_in / f_out), and the sum collapses to an enumeration of
-    core independent sets only.  Wherever an independent evaluator can also
-    run — subset enumeration, branching, or the p=2 side-trace sweep — the
-    decomposition is re-checked against it, with any disagreement raised as
-    an internal error.  ``ok`` reports only the mathematical identity.
+    (the gadget's f_in / f_out), and the sum collapses to a weighted
+    independent-set sum over the core alone.  Wherever an independent
+    evaluator can also run — subset enumeration, the whole graph through the
+    engine, or the p=2 side-trace sweep — the decomposition is re-checked
+    against it, with any disagreement raised as an internal error.  ``ok``
+    reports only the mathematical identity.
     """
     gp = build_G_phi(phi, w)
     gadget = gp.gadget
     p = w.p
     n, m = gp.n, gp.m
-    if gp.core_size > CORE_ENUM_BOUND:
-        raise BudgetExceededError(
-            f"core has {gp.core_size} vertices, enumeration bound {CORE_ENUM_BOUND}"
-        )
+    llv, lrv = w.lambda_l.value, w.lambda_r.value
 
     core = gp.core_graph()
-    left_mask = sum(1 << x for x in core.left)
-    watch_left = sum(1 << c.core_vertex for c in gp.copies if c.side == "L")
-    watch_right = sum(1 << c.core_vertex for c in gp.copies if c.side == "R")
-    n_right_copies = sum(1 for c in gp.copies if c.side == "R")
-
-    llv, lrv = w.lambda_l.value, w.lambda_r.value
-    pow_ll = [pow(llv, i, p) for i in range(core.n + 1)]
-    pow_lr = [pow(lrv, i, p) for i in range(core.n + 1)]
-    pow_fin_l = [pow(gadget.f_in_left.value, i, p) for i in range(n + 1)]
-    pow_fout_l = [pow(gadget.f_out_left.value, i, p) for i in range(n + 1)]
-    pow_fin_r = [pow(gadget.f_in_right.value, i, p) for i in range(n_right_copies + 1)]
-    pow_fout_r = [
-        pow(gadget.f_out_right.value, i, p) for i in range(n_right_copies + 1)
-    ]
-
-    masks = _adjacency_masks(core.to_graph())
-    lhs_val = 0
-
-    def scan(i: int, banned: int, chosen: int) -> None:
-        nonlocal lhs_val
-        if i == core.n:
-            in_l = bin(chosen & left_mask).count("1")
-            in_r = bin(chosen).count("1") - in_l
-            a_l = bin(chosen & watch_left).count("1")
-            a_r = bin(chosen & watch_right).count("1")
-            term = (
-                pow_ll[in_l]
-                * pow_lr[in_r]
-                % p
-                * pow_fin_l[a_l]
-                % p
-                * pow_fout_l[n - a_l]
-                % p
-                * pow_fin_r[a_r]
-                % p
-                * pow_fout_r[n_right_copies - a_r]
-                % p
-            )
-            lhs_val = (lhs_val + term) % p
-            return
-        scan(i + 1, banned, chosen)
-        if not banned >> i & 1:
-            scan(i + 1, banned | masks[i], chosen | (1 << i))
-
-    scan(0, 0, 0)
-    lhs = ZpScalar.of(lhs_val, p)
+    weights = _side_weights(core, llv, lrv)
+    for c in gp.copies:
+        if c.side == "L":
+            f_in, f_out = gadget.f_in_left, gadget.f_out_left
+        else:
+            f_in, f_out = gadget.f_in_right, gadget.f_out_right
+        out_w, in_w = weights[c.core_vertex]
+        weights[c.core_vertex] = (out_w * f_out.value, in_w * f_in.value)
+    lhs = ZpScalar.of(_independent_set_sum(core.edges, weights, p), p)
 
     K = (
         (w.lambda_l * w.lambda_r) ** n
@@ -1026,12 +895,13 @@ def verify_sat_reduction(phi: CnfFormula, w: WbisWeights) -> SatReductionReport:
             )
         checks.append("flat_subsets")
     elif total_n <= BRANCH_BUDGET:
-        branched = z_wbis(gp.graph, w)
-        if branched != lhs:
+        whole = z_wbis(gp.graph, w)
+        if whole != lhs:
             raise RuntimeError(
-                "internal verification failure: branching disagrees with "
-                "cut-vertex decomposition"
+                "internal verification failure: whole-graph evaluation "
+                "disagrees with cut-vertex decomposition"
             )
+        # The name predates the engine; it stays for byte-stable output.
         checks.append("branching")
     if total_n > SUBSET_BOUND and min(
         len(gp.graph.left), len(gp.graph.right)

@@ -197,6 +197,18 @@ def test_spin_search_respects_config_cap(capsys, tmp_path):
     assert doc["max_m"] == 5
 
 
+def test_spin_classify_respects_config_cap(capsys, tmp_path):
+    conf = tmp_path / "conf.json"
+    conf.write_text('{"search_m_cap": 2}')
+    doc = run_json(
+        capsys,
+        "--config", str(conf),
+        "spin", "classify", "--p", "41", "--gamma", "18", "--lambda", "6",
+    )
+    assert doc["verdict"] == "Unknown"
+    assert "m <= 2" in doc["reason"]
+
+
 def test_spin_search_sweep_csv(capsys):
     code, out = run(capsys, "spin", "search", "--sweep", "5")
     assert code == 0
@@ -369,6 +381,21 @@ def test_exit_code_budget(capsys, files, tmp_path):
         ]
     )
     assert code == 2
+
+
+def test_exit_code_budget_composite_modulus(capsys, files, tmp_path):
+    """The config budget holds for a composite modulus too, and the refusal
+    names a budget that suffices."""
+    conf = tmp_path / "tiny.json"
+    conf.write_text('{"state_budget": 10}')
+    code = main(
+        [
+            "--config", str(conf),
+            "count", files["p4.graph"], files["p4.graph"], "--mod", "6",
+        ]
+    )
+    assert code == 2
+    assert "MODHOM_BUDGET_STATES >= 16" in capsys.readouterr().err
 
 
 def test_exit_code_usage(capsys):

@@ -10,18 +10,22 @@ from __future__ import annotations
 import random
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import flat_hom_count, rand_graph, rand_tree
 from modhom.counting import (
+    PRIME_TEST_BOUND,
     HomCount,
     ZpScalar,
+    adjacency_power,
     count_homs,
     count_homs_subdivided,
     count_walks,
     enumerate_homs,
     find_distinguisher,
+    is_prime,
     state_budget_default,
     tuple_vector,
     vec_combine,
@@ -68,6 +72,22 @@ def test_scalar_rejects_bad_moduli_and_mixing():
         zp(1, 3) + zp(1, 5)
     with pytest.raises(InputError):
         zp(0, 3).inverse()
+
+
+def test_is_prime_matches_sympy():
+    for n in range(10**5):
+        assert is_prime(n) == sympy.isprime(n), n
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,
+                  321197185, 5394826801, 232250619601, 9746347772161]
+    # strong pseudoprimes to every prime base up to 23 and up to 37
+    pseudoprimes = [3825123056546413051, 318665857834031151167461]
+    big_primes = [2**61 - 1, sympy.nextprime(2**61), sympy.nextprime(2**64),
+                  sympy.prevprime(2**81)]
+    for n in carmichael + pseudoprimes + big_primes:
+        assert is_prime(n) == sympy.isprime(n), n
+    assert all(is_prime(q) for q in big_primes)
+    with pytest.raises(InputError, match=str(PRIME_TEST_BOUND)):
+        is_prime(PRIME_TEST_BOUND)
 
 
 @given(st.integers(), st.sampled_from([2, 3, 5, 7, 11]))
@@ -160,6 +180,36 @@ def test_counter_matches_flat_oracle_on_seeded_corpus():
         assert got == flat_hom_count(g, h, pins)
 
 
+@given(
+    st.randoms(use_true_random=False),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=3),
+)
+@settings(max_examples=60, deadline=None)
+def test_counter_matches_flat_oracle_property(rng, gn, hn, n_pins):
+    g = rand_graph(rng, gn, rng.uniform(0.2, 0.8))
+    h = rand_graph(rng, hn, rng.uniform(0.2, 0.9))
+    pins = {}
+    if hn:
+        pins = {v: rng.randrange(hn) for v in rng.sample(range(gn), min(n_pins, gn))}
+    want = flat_hom_count(g, h, pins)
+    got = count_homs(PartiallyLabelledGraph.make(g, pins), h, 5)
+    assert got.exact == want
+    assert got.residue == zp(want, 5)
+
+
+def test_counts_beyond_the_old_state_bound():
+    """Sources with far more than 10^8 assignments but small width: a path
+    counts walks (sum of A^19) and a cycle closed walks (trace of A^12)."""
+    walks = adjacency_power(path_graph(4), 19)
+    assert count_homs(path_graph(20), path_graph(4)).exact == sum(map(sum, walks))
+    closed = adjacency_power(cycle_graph(5), 12)
+    assert count_homs(cycle_graph(12), cycle_graph(5)).exact == sum(
+        closed[i][i] for i in range(5)
+    )
+
+
 def test_enumerate_homs_is_the_full_set():
     g = path_graph(3)
     h = cycle_graph(3)
@@ -177,6 +227,16 @@ def test_state_budget_guard():
     # pinned vertices are not free; a full pinning always fits
     j = PartiallyLabelledGraph.make(path_graph(2), {0: 0, 1: 1})
     assert count_homs(j, path_graph(2), state_budget=1).exact == 1
+
+
+def test_refusal_names_a_sufficient_budget():
+    """K6 -> K5 eliminates K6's vertices in turn: the first table spans all
+    six, 5^6 states.  The refusal says so, and that budget is enough."""
+    with pytest.raises(BudgetExceededError) as exc:
+        count_homs(complete_graph(6), complete_graph(5), state_budget=5**6 - 1)
+    assert "MODHOM_BUDGET_STATES >= 15625" in str(exc.value)
+    hc = count_homs(complete_graph(6), complete_graph(5), state_budget=5**6)
+    assert hc.exact == 0
 
 
 def test_budget_env_override(monkeypatch):
@@ -223,6 +283,7 @@ def test_subdivided_count_matches_expanded_graph():
         ).residue
         got = count_homs_subdivided(sk, lengths, pins, h, p)
         assert got == want
+        assert want.value == flat_hom_count(expanded, h, pins) % p
 
 
 def test_subdivided_rejects_missing_length():

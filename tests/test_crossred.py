@@ -31,7 +31,7 @@ from modhom.crossred import (
     verify_wbis_to_homs,
 )
 from modhom.dichotomy import find_ab_path
-from modhom.errors import InputError
+from modhom.errors import BudgetExceededError, InputError
 from modhom.graphs import (
     BipartiteGraph,
     Graph,
@@ -241,3 +241,13 @@ def test_crt_rejects_square_factors():
     for k in (4, 12, 1):
         with pytest.raises(InputError):
             count_homs_mod_composite(path_graph(2), path_graph(3), k)
+
+
+def test_composite_modulus_factoring_limits():
+    """A prime cofactor above the trial-division bound is accepted; two
+    prime factors above it cannot be found and the modulus is refused."""
+    big = 2**61 - 1
+    res = count_homs_mod_composite(path_graph(2), path_graph(4), 2 * big)
+    assert res.parts == ((2, 0), (big, 6))
+    with pytest.raises(BudgetExceededError):
+        count_homs_mod_composite(path_graph(2), path_graph(4), 1000003 * 1000033)

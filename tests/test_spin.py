@@ -13,6 +13,8 @@ import random
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import flat_spin
 from modhom.counting import zp
@@ -117,6 +119,24 @@ def test_evaluator_matches_flat_oracle():
         j = PartiallyLabelledGraph.make(Multigraph.make(n, pairs), pins)
         got = z_spin(j, sp(gamma, lam, p))
         assert got.value == flat_spin(n, pairs, gamma, lam, p, pins)
+
+
+@given(
+    st.randoms(use_true_random=False),
+    st.integers(min_value=1, max_value=7),
+    st.sampled_from([2, 3, 5, 7, 11]),
+    st.integers(min_value=0, max_value=3),
+)
+@settings(max_examples=60, deadline=None)
+def test_evaluator_matches_flat_oracle_property(rng, n, p, n_pins):
+    """Loops, parallel edges and several pins at once."""
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 10))]
+    pairs += rng.sample(pairs, min(2, len(pairs)))
+    pins = {v: rng.randint(0, 1) for v in rng.sample(range(n), min(n_pins, n))}
+    gamma, lam = rng.randrange(p), rng.randrange(p)
+    j = PartiallyLabelledGraph.make(Multigraph.make(n, pairs), pins)
+    got = z_spin(j, sp(gamma, lam, p))
+    assert got.value == flat_spin(n, pairs, gamma, lam, p, pins)
 
 
 def test_duality_identity():

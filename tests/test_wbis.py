@@ -1,7 +1,7 @@
 """Weighted bipartite independent sets: evaluators, gadgets, the CNF chain.
 
 The census oracle in conftest enumerates raw subsets; nothing here reuses
-the package's branching engine to check itself.
+the package's elimination engine to check itself.
 """
 
 from __future__ import annotations
@@ -82,11 +82,15 @@ def test_evaluator_matches_census_oracle():
     st.randoms(use_true_random=False),
     st.integers(min_value=0, max_value=5),
     st.integers(min_value=0, max_value=5),
+    st.sampled_from([2, 3, 5, 7]),
 )
 @settings(max_examples=50, deadline=None)
-def test_evaluator_census_property(nl, nr, rng, ll, lr):
+def test_evaluator_census_property(nl, nr, rng, ll, lr, p):
     g = rand_bip(rng, nl, nr, 0.5)
-    assert z_wbis_exact(g, ll, lr) == flat_wbis(g, ll, lr)
+    want = flat_wbis(g, ll, lr)
+    assert z_wbis_exact(g, ll, lr) == want
+    assert z_wbis(g, WbisWeights.of(ll, lr, p)).value == want % p
+    assert count_independent_sets(g) == flat_independent_sets(g)
 
 
 def test_zero_weight_side_collapses_to_closed_form():
