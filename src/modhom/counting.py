@@ -5,8 +5,8 @@ source with domain V(H) and edge matrix A(H), evaluated by the variable-
 elimination engine in :mod:`modhom.elimination`; the subdivision-aware
 counter uses the same engine with A(H)^ℓ on an edge of length ℓ.  Walk
 counts go through arbitrary-precision adjacency powers.  Budgets are
-explicit — an instance whose largest elimination table is too large raises
-:class:`BudgetExceededError` instead of running forever.
+explicit — an instance that needs more elimination table states than the
+state budget raises :class:`BudgetExceededError` instead of running forever.
 """
 
 from __future__ import annotations
@@ -159,7 +159,7 @@ class HomCount:
 
 
 def state_budget_default() -> int:
-    """Budget for the largest elimination table, env-overridable."""
+    """State budget of every partition sum, env-overridable."""
     raw = os.environ.get("MODHOM_BUDGET_STATES")
     if raw is None:
         return STATE_BUDGET_DEFAULT
@@ -199,8 +199,9 @@ def count_homs(
 
     Exact, by variable elimination over the source: every vertex ranges over
     V(H), a pinned one over its pin alone, and every edge carries A(H).
-    ``state_budget`` (default :func:`state_budget_default`) caps the largest
-    elimination table.  With ``p`` the result also carries the residue mod p.
+    ``state_budget`` (default :func:`state_budget_default`) bounds the
+    elimination's table states.  With ``p`` the result also carries the
+    residue mod p.
     """
     j = _as_labelled(j)
     if isinstance(j.base, Multigraph):

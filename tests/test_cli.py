@@ -395,7 +395,9 @@ def test_exit_code_budget_composite_modulus(capsys, files, tmp_path):
         ]
     )
     assert code == 2
-    assert "MODHOM_BUDGET_STATES >= 16" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "state budget >= 16 suffices" in err
+    assert "state_budget in the CLI config" in err
 
 
 def test_exit_code_usage(capsys):
