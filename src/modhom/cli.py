@@ -35,6 +35,22 @@ from .wbis import (
 )
 
 
+def _is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _read_text(path: str) -> str:
+    """A file's text; bytes that are not UTF-8 are an input error."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(
+            f"{path}: not valid UTF-8 (byte {exc.start}: {exc.reason})"
+        ) from None
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Defaults shared by the subcommands; a JSON config file may set any
@@ -47,6 +63,13 @@ class RunConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("iso_bound", "state_budget", "jobs"):
+            if not _is_int(getattr(self, name)):
+                raise InputError(f"config {name} must be an integer")
+        if self.search_m_cap is not None and not _is_int(self.search_m_cap):
+            raise InputError("config search_m_cap must be an integer or null")
+        if not isinstance(self.primes, tuple) or not all(map(_is_int, self.primes)):
+            raise InputError("config primes must be a list of integers")
         if self.iso_bound <= 0 or self.state_budget <= 0 or self.jobs <= 0:
             raise InputError("budgets and parallelism must be positive")
         if self.search_m_cap is not None and self.search_m_cap < 2:
@@ -59,13 +82,14 @@ class RunConfig:
     def load(cls, path: str | None) -> "RunConfig":
         if path is None:
             return cls()
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = json.loads(_read_text(path))
+        if not isinstance(raw, dict):
+            raise InputError(f"{path}: a config file holds one JSON object")
         known = {f for f in cls.__dataclass_fields__}
         extra = set(raw) - known
         if extra:
             raise InputError(f"unknown config keys: {sorted(extra)}")
-        if "primes" in raw:
+        if isinstance(raw.get("primes"), list):
             raw["primes"] = tuple(raw["primes"])
         return cls(**raw)
 
@@ -75,8 +99,7 @@ def _emit(obj: dict) -> None:
 
 
 def _read(path: str, kind: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read(), kind=kind)
+    return parse_graph(_read_text(path), kind=kind)
 
 
 def _parse_primes(text: str) -> tuple[int, ...]:
@@ -145,8 +168,7 @@ def _cmd_wbis_gadget(args: argparse.Namespace) -> int:
 
 
 def _cmd_wbis_sat(args: argparse.Namespace) -> int:
-    with open(args.cnf, "r", encoding="utf-8") as fh:
-        phi = parse_dimacs_cnf(fh.read())
+    phi = parse_dimacs_cnf(_read_text(args.cnf))
     w = WbisWeights.of(args.lambda_left, args.lambda_right, args.p)
     _emit(verify_sat_reduction(phi, w).to_json())
     return 0
@@ -225,8 +247,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             }
         )
     elif kind == "sat-to-wbis":
-        with open(args.cnf, "r", encoding="utf-8") as fh:
-            phi = parse_dimacs_cnf(fh.read())
+        phi = parse_dimacs_cnf(_read_text(args.cnf))
         w = WbisWeights.of(args.lambda_left, args.lambda_right, args.p)
         report = verify_sat_reduction(phi, w)
         rhs = report.K * ZpScalar.of(report.sat, args.p)

@@ -9,17 +9,32 @@ The hardness certificate is a path x_0..x_k with endpoint degrees a, b not
 congruent to 1 mod p, every interior degree congruent to 1, and no second
 path joining its endpoints.  ``AbPath.validate`` re-checks all of this
 directly against the graph, so certificates stand on their own.
+
+``classify`` analyses the reduced target's structure once and reads the
+decomposition, the forest test and each component's star test from that one
+pass.  On every non-star tree that has no order-p automorphism (p does not
+divide its AHU-counted |Aut|), ``find_ab_path`` cross-checks its search
+against a certificate built from a diameter path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .counting import _assert_prime, HomCount, ZpScalar
 from .errors import BudgetExceededError, InputError
-from .graphs import Graph, _two_color, analyze_structure
-from .reduction import ReductionTrace, find_order_p_automorphism, reduced_form
+from .graphs import (
+    Graph,
+    StructureReport,
+    _two_color,
+    analyze_structure,
+    forest_automorphism_count,
+)
+
+# find_order_p_automorphism is not called here any more; the import stays
+# because perfbench's tracer patches it under this module's name.
+from .reduction import ReductionTrace, find_order_p_automorphism, reduced_form  # noqa: F401
 
 PATH_SEARCH_STEPS = 10**6
 
@@ -27,32 +42,38 @@ PATH_SEARCH_STEPS = 10**6
 def _simple_paths(
     h: Graph, u: int, v: int, cap: int, budget: int = PATH_SEARCH_STEPS
 ) -> list[tuple[int, ...]]:
-    """Up to ``cap`` simple u-v paths (DFS, neighbours in ascending order)."""
+    """Up to ``cap`` simple u-v paths (DFS, neighbours in ascending order).
+
+    The search keeps its own stack, so path length is not limited by the
+    interpreter's recursion depth.  Each vertex entered costs one step of
+    ``budget``.
+    """
     out: list[tuple[int, ...]] = []
     steps = 0
     path = [u]
     on_path = {u}
-
-    def walk(x: int) -> bool:
-        nonlocal steps
+    untried: list[Iterator[int]] = []  # one per path vertex being extended
+    while True:
         steps += 1
         if steps > budget:
             raise BudgetExceededError("simple-path search budget exhausted")
-        if x == v:
+        if path[-1] == v:
             out.append(tuple(path))
-            return len(out) >= cap
-        for y in sorted(h.neighbors(x)):
-            if y not in on_path:
+            if len(out) >= cap:
+                return out
+            on_path.discard(path.pop())
+        else:
+            untried.append(iter(sorted(h.neighbors(path[-1]))))
+        while untried:
+            y = next((y for y in untried[-1] if y not in on_path), None)
+            if y is not None:
                 path.append(y)
                 on_path.add(y)
-                if walk(y):
-                    return True
-                on_path.discard(y)
-                path.pop()
-        return False
-
-    walk(u)
-    return out
+                break
+            untried.pop()
+            on_path.discard(path.pop())
+        else:
+            return out
 
 
 @dataclass(frozen=True)
@@ -119,24 +140,25 @@ def _diameter_path_certificate(h: Graph, p: int) -> tuple[int, ...]:
     degree is not 1 mod p."""
 
     def farthest(src: int) -> tuple[int, dict[int, int]]:
-        dist = {src: 0}
+        parent = {src: src}
         frontier = [src]
         while frontier:
-            nxt = []
+            last, nxt = frontier, []
             for x in frontier:
                 for y in sorted(h.neighbors(x)):
-                    if y not in dist:
-                        dist[y] = dist[x] + 1
+                    if y not in parent:
+                        parent[y] = x
                         nxt.append(y)
             frontier = nxt
-        far = max(dist.values())
-        return min(v for v, d in dist.items() if d == far), dist
+        return min(last), parent
 
     u, _ = farthest(0)
-    v, _ = farthest(u)
-    if v < u:
-        u, v = v, u
-    diameter = _simple_paths(h, u, v, cap=1)[0]
+    v, parent = farthest(u)
+    diameter = [v]
+    while diameter[-1] != u:
+        diameter.append(parent[diameter[-1]])
+    if u < v:
+        diameter.reverse()
     xs = diameter[1:]  # x_i = d_{i+1}
     for j in range(1, len(xs)):
         if h.degree(xs[j]) % p != 1:
@@ -185,19 +207,27 @@ def _graph_paths_from(h: Graph, u: int, p: int) -> Iterator[tuple[int, ...]]:
             yield paths[0]
 
 
+def _is_star(h: Graph, tree: Sequence[int]) -> bool:
+    """Whether a tree (given by its vertices) is a star: at most one of its
+    vertices has degree 2 or more."""
+    return sum(1 for v in tree if h.degree(v) >= 2) <= 1
+
+
 def find_ab_path(h: Graph, p: int) -> AbPath | None:
     """Smallest certificate path in a connected graph, or None.
 
     Candidates are ranked by (length, vertex sequence); the result is
-    deterministic.  On a non-star tree with no order-p automorphism a
-    certificate always exists, and the constructive diameter-path recipe is
-    run as a cross-check in that case.
+    deterministic.  On a non-star tree with no order-p automorphism (p does
+    not divide |Aut|, by Cauchy's theorem) a certificate always exists, and
+    the constructive diameter-path recipe is run as a cross-check in that
+    case, at every size.
     """
     _assert_prime(p)
     if h.n == 0 or not h.is_connected():
         raise InputError("certificate search expects a connected graph")
 
-    paths_from = _tree_paths_from if h.m == h.n - 1 else _graph_paths_from
+    is_tree = h.m == h.n - 1
+    paths_from = _tree_paths_from if is_tree else _graph_paths_from
     best = min(
         (
             (len(path) - 1, path)
@@ -208,16 +238,14 @@ def find_ab_path(h: Graph, p: int) -> AbPath | None:
         default=None,
     )
 
-    rep = analyze_structure(h)
-    if rep.is_tree and not rep.is_star and h.n <= 12:
-        if find_order_p_automorphism(h, p) is None:
-            built = AbPath.from_path(h, _diameter_path_certificate(h, p), p)
-            built.validate(h)
-            if best is None:
-                raise RuntimeError(
-                    "internal verification failure: search missed a "
-                    "certificate the tree construction found"
-                )
+    if is_tree and not _is_star(h, range(h.n)) and forest_automorphism_count(h) % p:
+        built = AbPath.from_path(h, _diameter_path_certificate(h, p), p)
+        built.validate(h)
+        if best is None:
+            raise RuntimeError(
+                "internal verification failure: search missed a "
+                "certificate the tree construction found"
+            )
 
     if best is None:
         return None
@@ -237,16 +265,19 @@ class CompleteBipartiteDecomposition:
         return [(len(a), len(b)) for a, b in self.components]
 
 
-def _cb_decomposition(h: Graph) -> CompleteBipartiteDecomposition | None:
-    rep = analyze_structure(h)
+def _cb_decomposition(
+    h: Graph, rep: StructureReport
+) -> CompleteBipartiteDecomposition | None:
+    """The decomposition of ``h`` from its structure report ``rep``, or None
+    if some component is not complete bipartite."""
     if not all(rep.is_complete_bipartite_per_component):
         return None
+    assert rep.bipartition is not None
+    first = rep.bipartition[0]
     parts = []
     for comp in rep.components:
-        color, ok = _two_color(h, comp)
-        assert ok
-        left = tuple(v for v in comp if color[v] == 0)
-        right = tuple(v for v in comp if color[v] == 1)
+        left = tuple(v for v in comp if v in first)
+        right = tuple(v for v in comp if v not in first)
         parts.append((left, right))
     return CompleteBipartiteDecomposition(tuple(parts))
 
@@ -300,8 +331,9 @@ def classify(h: Graph, p: int) -> Classification:
     _assert_prime(p)
     trace = reduced_form(h, p)
     hstar = trace.result
+    rep = analyze_structure(hstar)
 
-    decomposition = _cb_decomposition(hstar)
+    decomposition = _cb_decomposition(hstar, rep)
     if decomposition is not None:
         return Classification(
             p=p,
@@ -311,16 +343,13 @@ def classify(h: Graph, p: int) -> Classification:
             reason="every component of the reduced target is complete bipartite",
         )
 
-    rep = analyze_structure(hstar)
     is_forest = hstar.m == hstar.n - len(rep.components)
     if is_forest:
         best: AbPath | None = None
         for comp in rep.components:
-            sub = hstar.induced(comp)
-            sub_rep = analyze_structure(sub)
-            if sub_rep.is_star:
+            if _is_star(hstar, comp):
                 continue
-            local = find_ab_path(sub, p)
+            local = find_ab_path(hstar.induced(comp), p)
             if local is None:
                 continue
             mapped = AbPath(
@@ -373,7 +402,7 @@ def count_homs_polytime(g: Graph, h: Graph, p: int) -> HomCount:
     the elimination engine.
     """
     _assert_prime(p)
-    decomposition = _cb_decomposition(h)
+    decomposition = _cb_decomposition(h, analyze_structure(h))
     if decomposition is None:
         raise InputError(
             "closed-form counting needs every target component complete bipartite"

@@ -15,7 +15,11 @@ comparison.  It only tries to send a vertex to vertices of its own class
 under stable colour refinement (1-WL seeded with degrees): every
 automorphism preserves those classes, so the pruning removes no
 automorphism, and with candidates tried in ascending order the search still
-yields them in lexicographic order of their image arrays.  For forests,
+yields them in lexicographic order of their image arrays.  Asked for the
+elements of a prime order p, it also abandons every partial map that no
+element of order p extends: one that closes a cycle of another length, or
+whose moved vertices in some colour class can no longer reach a multiple
+of p.  For forests,
 :func:`forest_automorphism_count` gives the group order exactly from AHU
 canonical codes without enumerating anything.
 """
@@ -730,17 +734,31 @@ def _colour_classes(g: Graph) -> list[int]:
         classes = len(ids)
 
 
-def iter_automorphisms(g: Graph) -> Iterator[Permutation]:
-    """Yield all automorphisms in lexicographic order of their image arrays.
+def iter_automorphisms(
+    g: Graph, *, order: int | None = None
+) -> Iterator[Permutation]:
+    """Yield automorphisms in lexicographic order of their image arrays.
 
     Vertices 0..n-1 are placed in turn, each on the unused vertices of its
     colour-refinement class in ascending order.  Placing v on w is
     consistent when the images of v's earlier neighbours are exactly w's
     neighbours among the images placed so far.
+
+    With a prime ``order`` p, only the non-identity automorphisms whose
+    cycles all have length 1 or p are yielded: exactly the elements of
+    order p.  Every cycle stays inside one colour class, so each vertex of
+    a class smaller than p is fixed, and a partial map is abandoned as soon
+    as it closes a cycle of another length, or as soon as the vertices it
+    moves in a class can no longer reach a multiple of p.
+    Pruning only drops partial maps that no element of order p extends, so
+    the elements come out in the same order as before.
     """
+    if order is not None and order < 2:
+        raise InputError(f"automorphism order {order} is not a prime")
     n = g.n
     if n == 0:
-        yield Permutation(())
+        if order is None:
+            yield Permutation(())
         return
     adj = [0] * n
     for u, v in g.edges:
@@ -751,12 +769,26 @@ def iter_automorphisms(g: Graph) -> Iterator[Permutation]:
     for v in range(n):
         class_mask[colour[v]] = class_mask.get(colour[v], 0) | 1 << v
     same_class = [class_mask[colour[v]] for v in range(n)]
+    if order is not None:
+        same_class = [
+            mask if mask.bit_count() >= order else 1 << v
+            for v, mask in enumerate(same_class)
+        ]
     earlier = [[u for u in range(v) if adj[v] >> u & 1] for v in range(n)]
 
     mapping = [0] * n
     candidates = [0] * n  # level v: untried images for v
     wanted = [0] * n  # level v: images of v's earlier neighbours
     used = 0  # images of vertices 0..v-1
+    # order-p mode, per colour class: vertices the partial map moves, and
+    # vertices neither placed nor an image yet; per level: what placing v
+    # added to its class
+    moved = [0] * n
+    free = [0] * n
+    for c in colour:
+        free[c] += 1
+    added_moved = [0] * n
+    added_free = [0] * n
     v = 0
     candidates[0] = same_class[0]
     while v >= 0:
@@ -765,17 +797,44 @@ def iter_automorphisms(g: Graph) -> Iterator[Permutation]:
             v -= 1
             if v >= 0:
                 used ^= 1 << mapping[v]
+                moved[colour[v]] -= added_moved[v]
+                free[colour[v]] -= added_free[v]
             continue
         low = cand & -cand
         candidates[v] = cand ^ low
         w = low.bit_length() - 1
         if adj[w] & used != wanted[v]:
             continue
+        if order is not None:
+            if w == v:
+                dm, df = 0, -1
+            else:
+                # the arrow v -> w closes a cycle iff the chain from w
+                # through placed vertices (exactly 0..v-1) comes back to v
+                x, arrows = w, 1
+                while x < v:
+                    x = mapping[x]
+                    arrows += 1
+                if x == v and arrows != order:
+                    continue
+                # v and w are newly moved unless an arrow already reached v
+                # or w is placed
+                dm = (not used >> v & 1) + (w > v)
+                df = -dm
+            # a class's moved vertices fill p-cycles, so their count must
+            # reach a multiple of p with the free vertices left
+            c = colour[v]
+            if -(moved[c] + dm) % order > free[c] + df:
+                continue
+            added_moved[v], added_free[v] = dm, df
         mapping[v] = w
         if v == n - 1:
-            yield Permutation(tuple(mapping))
+            if order is None or mapping != list(range(n)):
+                yield Permutation(tuple(mapping))
             continue
         used |= low
+        moved[colour[v]] += added_moved[v]
+        free[colour[v]] += added_free[v]
         v += 1
         candidates[v] = same_class[v] & ~used
         wanted[v] = sum(1 << mapping[u] for u in earlier[v])

@@ -7,18 +7,20 @@ reduced form is unique up to isomorphism; ``tie_break="all_paths"`` checks
 that empirically by exploring every reduction order.
 
 The order-p search takes the lexicographically first automorphism of order
-p, so the labels of every reduced graph are deterministic.  On forests
-above the full-group bound it first computes |Aut| exactly from canonical
-codes: by Cauchy's theorem an element of order p exists iff p divides it,
-so when p does not divide it the answer is None without enumerating the
-group; otherwise the lexicographic search runs as usual.
+p, so the labels of every reduced graph are deterministic; it visits only
+partial maps that can still become an element of order p.  Its answer is
+checked against |Aut| by Cauchy's theorem (an element of order p exists iff
+p divides it).  On forests of every size |Aut| comes exactly from canonical
+codes, and on other graphs of at most 8 vertices from the listed group.
+Above 8 vertices a known |Aut| that p does not divide answers None without
+searching.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterator, Literal
+from typing import Literal
 
 from .errors import BudgetExceededError, InputError
 from .graphs import (
@@ -34,47 +36,37 @@ FULL_GROUP_BOUND = 8
 ALL_PATHS_BOUND = 10
 
 
-def _order_p_elements(h: Graph, p: int) -> Iterator[Permutation]:
-    """Automorphisms of order exactly p, in lexicographic image order."""
-    for a in iter_automorphisms(h):
-        if a.order == p:
-            yield a
-
-
 def find_order_p_automorphism(
     h: Graph, p: int, *, bound: int = 12
 ) -> Permutation | None:
     """First (lex by images) automorphism of order exactly p, or None.
 
-    For graphs up to 8 vertices the whole group is enumerated and the
-    Cauchy-theorem criterion (p divides |Aut| iff an order-p element exists)
-    is asserted as a self-check; beyond that the search stops at the first
-    hit.  A larger forest is answered None at once when p does not divide
-    its exactly counted |Aut|; when it does, an empty search fails the same
-    self-check.
+    The search lists only elements of order p (see
+    :func:`iter_automorphisms`) and is checked against |Aut(h)| by Cauchy's
+    theorem: an element of order p exists iff p divides the group order.
+    The order comes from canonical codes on every forest and from the full
+    group on any other graph of at most 8 vertices.  Up to 8 vertices the
+    search always runs and the check is two-sided.  Above that a known
+    order that p does not divide answers None at once, and an empty search
+    where p divides it fails the check.
     """
+    from .counting import _assert_prime
+
+    _assert_prime(p)
     if h.n > bound:
-        raise BudgetExceededError(f"automorphism search beyond bound {bound}")
-    if h.n <= FULL_GROUP_BOUND:
-        group = automorphism_group(h, bound=bound)
-        found = None
-        for a in group:
-            if a.order == p:
-                found = a
-                break
-        assert (found is not None) == (len(group) % p == 0), (
-            "internal verification failure: Cauchy criterion violated"
+        raise BudgetExceededError(
+            f"automorphism search on {h.n} vertices is beyond bound {bound}"
         )
-        return found
     group_order = forest_automorphism_count(h)
-    if group_order is not None and group_order % p:
+    if group_order is None and h.n <= FULL_GROUP_BOUND:
+        group_order = len(automorphism_group(h, bound=bound))
+    if group_order is not None and group_order % p and h.n > FULL_GROUP_BOUND:
         return None
-    for a in _order_p_elements(h, p):
-        return a
-    assert group_order is None, (
+    found = next(iter_automorphisms(h, order=p), None)
+    assert group_order is None or (found is not None) == (group_order % p == 0), (
         "internal verification failure: Cauchy criterion violated"
     )
-    return None
+    return found
 
 
 def fixed_subgraph(h: Graph, rho: Permutation) -> tuple[Graph, list[int]]:
@@ -186,7 +178,7 @@ def reduced_form(
         next_frontier: list[Graph] = []
         for g in frontier:
             children: list[Graph] = []
-            for rho in _order_p_elements(g, p):
+            for rho in iter_automorphisms(g, order=p):
                 child, _ = fixed_subgraph(g, rho)
                 if not any(are_isomorphic(child, c) for c in children):
                     children.append(child)

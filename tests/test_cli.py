@@ -339,6 +339,39 @@ def test_exit_code_non_integer_operand(capsys, files, tmp_path, argv, text):
     assert err.startswith("error: line ") and err.count("\n") == 1
 
 
+NOT_UTF8 = b"p graph 2 1\ne 1 2\nc \xff\xfe\n"
+
+
+CLASSIFY = ["classify", "{p4}", "--p", "2"]
+
+
+@pytest.mark.parametrize(
+    "name, content, argv, needle",
+    [
+        ("list.json", b"[]", ["--config", "{f}"] + CLASSIFY, "JSON object"),
+        ("iso.json", b'{"iso_bound": "x"}', ["--config", "{f}"] + CLASSIFY, "iso_bound"),
+        ("primes.json", b'{"primes": 5}', ["--config", "{f}", "atlas", "--max-n", "2"], "primes"),
+        ("jobs.json", b'{"jobs": true}', ["--config", "{f}", "atlas", "--max-n", "2"], "jobs"),
+        ("latin1.json", b'{"jobs": 1}\n\xe9', ["--config", "{f}"] + CLASSIFY, "UTF-8"),
+        ("latin1.graph", b"p graph 2 1\ne 1 2\nc \xff\xfe\n", ["classify", "{f}", "--p", "2"], "UTF-8"),
+        (
+            "latin1.cnf",
+            b"p cnf 1 1\n1 0\nc \xff\n",
+            ["wbis", "sat-reduce", "{f}", "--p", "5", "--lambda-left", "1", "--lambda-right", "1"],
+            "UTF-8",
+        ),
+    ],
+)
+def test_malformed_input_is_an_error_line(capsys, files, tmp_path, name, content, argv, needle):
+    bad = tmp_path / name
+    bad.write_bytes(content)
+    argv = [a.format(f=bad, p4=files["p4.graph"]) for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert needle in err
+
+
 def test_atlas_jobs_bounded_by_cpu_count(capsys, monkeypatch, tmp_path):
     sizes: list[int] = []
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -15,6 +17,7 @@ from conftest import (
     simple_paths,
     spider,
 )
+from modhom import dichotomy
 from modhom.counting import count_homs
 from modhom.dichotomy import (
     AbPath,
@@ -114,6 +117,45 @@ def test_certificate_search_matches_naive_ranking():
             assert (cert.vertices if cert else None) == want
 
 
+def caterpillar(spine: int) -> Graph:
+    """A path of ``spine`` vertices with one pendant leaf on each."""
+    return Graph.make(
+        2 * spine,
+        [(i, i + 1) for i in range(spine - 1)] + [(i, spine + i) for i in range(spine)],
+    )
+
+
+def test_certificate_on_a_long_caterpillar_needs_no_recursion():
+    # degrees 3 and 1 are 1 mod 2, so the only endpoints are the spine's
+    # two ends and the certificate is the whole 1200-vertex spine
+    h = caterpillar(1200)
+    cert = find_ab_path(h, 2)
+    assert cert is not None and cert.k == 1199
+    assert cert.vertices == tuple(range(1200))
+    cert.validate(h)
+
+
+def test_diameter_cross_check_runs_on_large_trees(monkeypatch):
+    calls = []
+    built = dichotomy._diameter_path_certificate
+
+    def spy(h, p):
+        calls.append((h.n, p))
+        return built(h, p)
+
+    monkeypatch.setattr(dichotomy, "_diameter_path_certificate", spy)
+    t = spider(2, 3, 4, 5)  # 15 vertices, no symmetry at all
+    cert = find_ab_path(t, 3)
+    assert cert is not None
+    assert calls == [(15, 3)]
+    # the caterpillar's reflection has order 2, so only other primes check
+    calls.clear()
+    assert find_ab_path(caterpillar(1200), 3) is not None
+    assert calls == [(2400, 3)]
+    assert find_ab_path(caterpillar(1200), 2) is not None
+    assert calls == [(2400, 3)]
+
+
 def test_certificate_search_requires_connected_input():
     with pytest.raises(InputError):
         find_ab_path(Graph.make(3, [(0, 1)]), 3)
@@ -162,6 +204,30 @@ def test_reduction_can_rescue_a_cycle():
     # C4 mod 2 collapses; mod 3 it survives but *is* complete bipartite
     assert classify(cycle_graph(4), 2).verdict == "PolyTime"
     assert classify(cycle_graph(4), 3).verdict == "PolyTime"
+
+
+# SHA-256 over every classify output and every reduction step's labels, for
+# all trees of 1..12 vertices at p = 2, 3, 5, 7.  The golden atlas pins the
+# outputs up to 8 vertices; this pins the rest, so no change to the search,
+# the reduction or the certificate scan can move a label unnoticed.
+TREE_OUTPUT_DIGEST = "939d0fb62cda72682e6ac237f77b3e246f184c7f96fb84e226a5911be2f201c1"
+
+
+def test_classify_outputs_on_trees_up_to_12_are_unchanged():
+    digest = hashlib.sha256()
+    ops = 0
+    for n in range(1, 13):
+        for tree in nonisomorphic_trees(n):
+            for p in (2, 3, 5, 7):
+                cls = classify(tree, p)
+                digest.update(json.dumps(cls.to_json(), sort_keys=True).encode())
+                for step in cls.reduced.steps:
+                    digest.update(
+                        repr((step.automorphism.images, step.fixed_vertices)).encode()
+                    )
+                ops += 1
+    assert ops == 3948
+    assert digest.hexdigest() == TREE_OUTPUT_DIGEST
 
 
 def test_tree_frontier_matches_star_shape():

@@ -243,6 +243,34 @@ def test_iter_automorphisms_matches_flat_oracle_in_order(g):
     assert [a.images for a in iter_automorphisms(g)] == flat_automorphisms(g)
 
 
+def _naive_order(images: tuple[int, ...]) -> int:
+    """Smallest k >= 1 with images^k the identity, by repeated composition."""
+    identity = tuple(range(len(images)))
+    power, k = images, 1
+    while power != identity:
+        power = tuple(images[v] for v in power)
+        k += 1
+    return k
+
+
+@given(graphs_up_to(7), st.sampled_from((2, 3, 5, 7)))
+@example(Graph.make(0), 2)
+@example(Graph.make(7), 7)
+@example(Graph.make(7), 3)
+@example(complete_graph(6), 2)
+@example(complete_graph(6), 3)
+@example(complete_graph(6), 5)
+@settings(max_examples=120, deadline=None)
+def test_order_restricted_search_matches_flat_oracle_in_order(g, p):
+    expected = [a for a in flat_automorphisms(g) if _naive_order(a) == p]
+    assert [a.images for a in iter_automorphisms(g, order=p)] == expected
+
+
+def test_order_restricted_search_rejects_orders_below_two():
+    with pytest.raises(InputError):
+        list(iter_automorphisms(path_graph(3), order=1))
+
+
 @given(forests_up_to(7))
 @example(Graph.make(6, [(0, 1), (2, 3), (4, 5)]))
 @settings(max_examples=80, deadline=None)

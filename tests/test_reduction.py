@@ -11,6 +11,7 @@ from modhom.counting import count_homs
 from modhom.errors import BudgetExceededError, InputError
 from modhom.graphs import (
     Graph,
+    Permutation,
     are_isomorphic,
     cycle_graph,
     forest_automorphism_count,
@@ -61,7 +62,7 @@ def test_order_p_element_exists_iff_p_divides_forest_group_order():
 
 
 def test_forest_shortcut_skips_the_search(monkeypatch):
-    def no_search(h):
+    def no_search(h, *, order=None):
         raise AssertionError("automorphisms enumerated")
 
     monkeypatch.setattr(reduction, "iter_automorphisms", no_search)
@@ -71,11 +72,43 @@ def test_forest_shortcut_skips_the_search(monkeypatch):
 
 
 def test_empty_search_on_a_forest_fails_the_cauchy_check(monkeypatch):
-    monkeypatch.setattr(reduction, "iter_automorphisms", lambda h: iter(()))
+    monkeypatch.setattr(reduction, "iter_automorphisms", lambda h, *, order=None: iter(()))
     with pytest.raises(AssertionError, match="Cauchy criterion violated"):
         find_order_p_automorphism(star_graph(9), 3)
     # off forests there is no exact group order to check against
     assert find_order_p_automorphism(cycle_graph(9), 3) is None
+
+
+def test_empty_search_at_full_group_size_fails_the_cauchy_check(monkeypatch):
+    # |Aut(K_{1,3})| = 6: an element of order 3 must exist
+    monkeypatch.setattr(reduction, "iter_automorphisms", lambda h, *, order=None: iter(()))
+    with pytest.raises(AssertionError, match="Cauchy criterion violated"):
+        find_order_p_automorphism(star_graph(3), 3)
+    # off forests the listed group gives the order: |Aut(C_6)| = 12
+    with pytest.raises(AssertionError, match="Cauchy criterion violated"):
+        find_order_p_automorphism(cycle_graph(6), 3)
+
+
+def test_spurious_element_at_full_group_size_fails_the_cauchy_check(monkeypatch):
+    # |Aut(P_3)| = 2, so no element of order 3 can exist; the search runs
+    # anyway at this size and its answer is checked
+    p3 = path_graph(3)
+    flip = Permutation((2, 1, 0))
+    monkeypatch.setattr(
+        reduction, "iter_automorphisms", lambda h, *, order=None: iter((flip,))
+    )
+    with pytest.raises(AssertionError, match="Cauchy criterion violated"):
+        find_order_p_automorphism(p3, 3)
+
+
+def test_refusal_names_the_size_and_the_bound():
+    with pytest.raises(BudgetExceededError, match=r"2400 vertices.*bound 12"):
+        find_order_p_automorphism(path_graph(2400), 2)
+
+
+def test_order_p_search_rejects_a_composite_modulus():
+    with pytest.raises(InputError):
+        find_order_p_automorphism(cycle_graph(4), 4)
 
 
 def test_fixed_subgraph_of_path_flip():
