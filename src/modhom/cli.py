@@ -23,7 +23,7 @@ from .crossred import (
 )
 from .dichotomy import classify
 from .errors import BudgetExceededError, InputError
-from .graphs import Graph, nonisomorphic_trees, parse_graph
+from .graphs import ISO_BOUND_DEFAULT, Graph, nonisomorphic_trees, parse_graph
 from .reduction import reduced_form
 from .spin import SpinParams, classify_spin, search_gadget, search_sweep, z_spin
 from .wbis import (
@@ -56,7 +56,7 @@ class RunConfig:
     """Defaults shared by the subcommands; a JSON config file may set any
     field and explicit flags win."""
 
-    iso_bound: int = 12
+    iso_bound: int = ISO_BOUND_DEFAULT
     state_budget: int = field(default_factory=state_budget_default)
     search_m_cap: int | None = None
     primes: tuple[int, ...] = (2, 3, 5)

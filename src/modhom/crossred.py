@@ -278,9 +278,8 @@ def connbis_transform(g: BipartiteGraph) -> tuple[Graph, ConnBisReport]:
     Isolated vertices are re-homed to the left side first (recorded in the
     report) so that the apex reaches every component.
     """
-    isolated = {
-        v for v in range(g.n) if not g.neighbors(v)
-    }
+    plain = g.to_graph()
+    isolated = {v for v in range(g.n) if not plain.neighbors(v)}
     moved = tuple(sorted(isolated & g.right))
     left = set(g.left) | set(moved)
     right = set(g.right) - set(moved)

@@ -27,7 +27,6 @@ from .errors import BudgetExceededError, InputError
 from .graphs import (
     Graph,
     StructureReport,
-    _two_color,
     analyze_structure,
     forest_automorphism_count,
 )
@@ -168,13 +167,17 @@ def _diameter_path_certificate(h: Graph, p: int) -> tuple[int, ...]:
     )
 
 
-def _tree_paths_from(h: Graph, u: int, p: int) -> Iterator[tuple[int, ...]]:
-    """Candidate certificate paths starting at ``u`` in a tree.
+def _candidate_paths_from(
+    h: Graph, u: int, p: int
+) -> Iterator[tuple[int, ...]]:
+    """Breadth-first paths from ``u`` that are certificate shapes.
 
-    Tree paths are unique, so one breadth-first search with a parent map
-    gives each of them.  The search passes only through vertices of degree
-    1 mod p, since a candidate's interior must, and stops at every other
-    vertex, which is an endpoint.
+    The search passes only through vertices of degree 1 mod p, since a
+    certificate's interior must, and stops at every other vertex, which is
+    an endpoint; the parent map gives one path to each endpoint reached.
+    In a tree that path is the only one.  In a graph with a cycle it is a
+    certificate iff no second simple path joins its ends, which the caller
+    checks.
     """
     parent = {u: u}
     frontier = [u]
@@ -193,18 +196,6 @@ def _tree_paths_from(h: Graph, u: int, p: int) -> Iterator[tuple[int, ...]]:
                     path.append(parent[path[-1]])
                 yield tuple(reversed(path))
         frontier = nxt
-
-
-def _graph_paths_from(h: Graph, u: int, p: int) -> Iterator[tuple[int, ...]]:
-    """Candidate certificate paths starting at ``u`` in any graph: the
-    endpoint pair must be joined by exactly one simple path (found by DFS)
-    whose interior degrees are all 1 mod p."""
-    for v in range(h.n):
-        if v == u or h.degree(v) % p == 1:
-            continue
-        paths = _simple_paths(h, u, v, cap=2)
-        if len(paths) == 1 and all(h.degree(x) % p == 1 for x in paths[0][1:-1]):
-            yield paths[0]
 
 
 def _is_star(h: Graph, tree: Sequence[int]) -> bool:
@@ -227,13 +218,13 @@ def find_ab_path(h: Graph, p: int) -> AbPath | None:
         raise InputError("certificate search expects a connected graph")
 
     is_tree = h.m == h.n - 1
-    paths_from = _tree_paths_from if is_tree else _graph_paths_from
     best = min(
         (
             (len(path) - 1, path)
             for u in range(h.n)
             if h.degree(u) % p != 1
-            for path in paths_from(h, u, p)
+            for path in _candidate_paths_from(h, u, p)
+            if is_tree or len(_simple_paths(h, u, path[-1], cap=2)) == 1
         ),
         default=None,
     )
@@ -409,12 +400,13 @@ def count_homs_polytime(g: Graph, h: Graph, p: int) -> HomCount:
         )
     sizes = decomposition.sizes()
 
+    source = analyze_structure(g)
+    if source.bipartition is None:
+        return HomCount(exact=0, residue=ZpScalar.of(0, p))
+    first = source.bipartition[0]
     total = 1
-    for comp in g.components():
-        color, ok = _two_color(g, comp)
-        if not ok:
-            return HomCount(exact=0, residue=ZpScalar.of(0, p))
-        nl = sum(1 for v in comp if color[v] == 0)
+    for comp in source.components:
+        nl = sum(1 for v in comp if v in first)
         nr = len(comp) - nl
         # For a lone vertex (nl, nr) = (1, 0) the two monomials degenerate to
         # a + b via 0**0 == 1, which is exactly the vertex count.

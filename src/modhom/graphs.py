@@ -9,19 +9,19 @@ bound (default 12 vertices) and raise :class:`BudgetExceededError` beyond it
 rather than silently grinding.  All values are immutable after construction,
 so every function here is safe to call concurrently.
 
-The automorphism search keeps adjacency as one bitmask per vertex, so
-checking a partial map against the vertices already placed is one mask
-comparison.  It only tries to send a vertex to vertices of its own class
-under stable colour refinement (1-WL seeded with degrees): every
-automorphism preserves those classes, so the pruning removes no
-automorphism, and with candidates tried in ascending order the search still
-yields them in lexicographic order of their image arrays.  Asked for the
-elements of a prime order p, it also abandons every partial map that no
-element of order p extends: one that closes a cycle of another length, or
-whose moved vertices in some colour class can no longer reach a multiple
-of p.  For forests,
-:func:`forest_automorphism_count` gives the group order exactly from AHU
-canonical codes without enumerating anything.
+One search answers both questions: it maps graph a onto graph b, and an
+automorphism is a map from a graph onto itself.  It keeps adjacency as one
+bitmask per vertex, so checking a partial map against the vertices already
+placed is one mask comparison.  It only tries to send a vertex to vertices
+of its own class under stable colour refinement (1-WL): every isomorphism
+preserves those classes, so the pruning removes no isomorphism, and with
+candidates tried in ascending order the search yields them in
+lexicographic order of their image arrays.  Asked for the automorphisms of
+a prime order p, it also abandons every partial map that no element of
+order p extends: one that closes a cycle of another length, or whose moved
+vertices in some colour class can no longer reach a multiple of p.  For
+forests, :func:`forest_automorphism_count` gives the group order exactly
+from AHU canonical codes without enumerating anything.
 """
 
 from __future__ import annotations
@@ -569,64 +569,52 @@ class StructureReport:
     is_complete_bipartite_per_component: tuple[bool, ...]
 
 
-def _two_color(g: Graph, comp: Sequence[int]) -> tuple[dict[int, int], bool]:
-    """2-colour one component; the flag says whether that succeeded."""
-    root = min(comp)
-    color = {root: 0}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in sorted(g.neighbors(v)):
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    nxt.append(w)
-                elif color[w] == color[v]:
-                    return color, False
-        frontier = nxt
-    return color, True
-
-
 def analyze_structure(g: Graph) -> StructureReport:
     """Components, bipartition, tree/star flags, complete-bipartite test.
 
-    The bipartition, when it exists, is deterministic: in each component the
-    minimum vertex gets the first colour.  A single vertex counts as the star
-    K_{1,0} and as a (degenerate) complete bipartite graph.
+    One breadth-first pass per component finds its vertices, 2-colours them
+    and counts its edges from the degree sum.  The bipartition, when it
+    exists, is deterministic: in each component the minimum vertex gets the
+    first colour.  A single vertex counts as the star K_{1,0} and as a
+    (degenerate) complete bipartite graph.
     """
-    comps = g.components()
-    color_all: dict[int, int] = {}
+    colour = [-1] * g.n
+    comps: list[tuple[int, ...]] = []
+    cb_flags: list[bool] = []
     bipartite = True
-    for comp in comps:
-        color, ok = _two_color(g, comp)
-        if not ok:
-            bipartite = False
-        else:
-            color_all.update(color)
+    for root in range(g.n):
+        if colour[root] >= 0:
+            continue
+        colour[root] = 0
+        comp = [root]
+        two_coloured = True
+        for v in comp:  # grows while iterating: breadth-first
+            for w in g.neighbors(v):
+                if colour[w] < 0:
+                    colour[w] = 1 - colour[v]
+                    comp.append(w)
+                elif colour[w] == colour[v]:
+                    two_coloured = False
+        comp.sort()
+        comps.append(tuple(comp))
+        bipartite = bipartite and two_coloured
+        y = sum(colour[v] for v in comp)
+        m_comp = sum(g.degree(v) for v in comp) // 2
+        cb_flags.append(two_coloured and m_comp == (len(comp) - y) * y)
 
     bipartition = None
     if bipartite:
-        part0 = frozenset(v for v, c in color_all.items() if c == 0)
-        part1 = frozenset(v for v, c in color_all.items() if c == 1)
-        bipartition = (part0, part1)
+        bipartition = (
+            frozenset(v for v in range(g.n) if colour[v] == 0),
+            frozenset(v for v in range(g.n) if colour[v] == 1),
+        )
 
     is_tree = g.n >= 1 and len(comps) == 1 and g.m == g.n - 1
     big = sum(1 for v in range(g.n) if g.degree(v) >= 2)
     is_star = is_tree and big <= 1
 
-    cb_flags = []
-    for comp in comps:
-        color, ok = _two_color(g, comp)
-        if not ok:
-            cb_flags.append(False)
-            continue
-        x = sum(1 for v in comp if color[v] == 0)
-        y = len(comp) - x
-        m_comp = sum(1 for u, v in g.edges if u in color and v in color and u in comp)
-        cb_flags.append(m_comp == x * y)
-
     return StructureReport(
-        components=comps,
+        components=tuple(comps),
         bipartition=bipartition,
         is_tree=is_tree,
         is_star=is_star,
@@ -638,143 +626,86 @@ def analyze_structure(g: Graph) -> StructureReport:
 # isomorphism / automorphisms
 
 
-def _as_distinguished(g: Graph | DistinguishedGraph) -> DistinguishedGraph:
-    return g if isinstance(g, DistinguishedGraph) else DistinguishedGraph(g, ())
+def adjacency_masks(g: Graph) -> list[int]:
+    """One bitmask per vertex: bit w of entry v is set iff vw is an edge."""
+    masks = [0] * g.n
+    for u, v in g.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
 
 
-def are_isomorphic(
-    a: Graph | DistinguishedGraph,
-    b: Graph | DistinguishedGraph,
-    *,
-    bound: int = ISO_BOUND_DEFAULT,
-) -> bool:
-    """Mark-respecting isomorphism test by pruned permutation search.
-
-    Marks map pointwise: the i-th mark of ``a`` must land on the i-th mark of
-    ``b``.  Raises on mark-arity mismatch, and raises
-    :class:`BudgetExceededError` above ``bound`` vertices.
-    """
-    da, db = _as_distinguished(a), _as_distinguished(b)
-    if len(da.marks) != len(db.marks):
-        raise InputError("mark tuples must have equal length")
-    ga, gb = da.base, db.base
-    if max(ga.n, gb.n) > bound:
-        raise BudgetExceededError(
-            f"size limit exceeded: {max(ga.n, gb.n)} > {bound} vertices"
-        )
-    if ga.n != gb.n or ga.m != gb.m:
-        return False
-    if ga.degree_sequence() != gb.degree_sequence():
-        return False
-
-    mapping = [-1] * ga.n
-    used = [False] * gb.n
-    for ma, mb in zip(da.marks, db.marks):
-        if mapping[ma] == -1:
-            if used[mb] or ga.degree(ma) != gb.degree(mb):
-                return False
-            mapping[ma] = mb
-            used[mb] = True
-        elif mapping[ma] != mb:
-            return False
-
-    order = sorted(range(ga.n), key=lambda v: (mapping[v] == -1, -ga.degree(v), v))
-
-    def consistent(v: int, w: int) -> bool:
-        if ga.degree(v) != gb.degree(w):
-            return False
-        for u in range(ga.n):
-            if mapping[u] != -1 and u != v:
-                if ga.has_edge(v, u) != gb.has_edge(w, mapping[u]):
-                    return False
-        return True
-
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        if mapping[v] != -1:
-            return consistent(v, mapping[v]) and extend(i + 1)
-        for w in range(gb.n):
-            if not used[w]:
-                if consistent(v, w):
-                    mapping[v] = w
-                    used[w] = True
-                    if extend(i + 1):
-                        return True
-                    mapping[v] = -1
-                    used[w] = False
-        return False
-
-    return extend(0)
-
-
-def _colour_classes(g: Graph) -> list[int]:
-    """Stable colour refinement (1-WL) seeded with degrees.
+def _stable_colours(
+    nbrs: Sequence[Iterable[int]], colour: list, split: int = 0
+) -> list[int] | None:
+    """Stable colour refinement (1-WL) from the seed colours ``colour``.
 
     Returns one colour per vertex.  A vertex's next colour is its colour
     together with the multiset of its neighbours' colours; the partition
     only ever splits, so it is stable once the class count stops growing.
-    The classes depend on the graph's structure alone, so every
-    automorphism maps each class onto itself.
+    The classes depend on the structure and the seeds alone, so every
+    isomorphism that keeps the seeds maps each class onto itself.
+
+    A nonzero ``split`` says the vertices before it and from it on are two
+    graphs.  Refinement then stops with None as soon as some class has
+    different sizes in the two, as no isomorphism between them exists.
     """
-    colour = [g.degree(v) for v in range(g.n)]
     classes = len(set(colour))
     while True:
         ids: dict[tuple, int] = {}
         colour = [
             ids.setdefault(
-                (colour[v], tuple(sorted(colour[w] for w in g.neighbors(v)))),
-                len(ids),
+                (colour[v], tuple(sorted(colour[w] for w in nbrs[v]))), len(ids)
             )
-            for v in range(g.n)
+            for v in range(len(nbrs))
         ]
+        if split and sorted(colour[:split]) != sorted(colour[split:]):
+            return None
         if len(ids) == classes:
             return colour
         classes = len(ids)
 
 
-def iter_automorphisms(
-    g: Graph, *, order: int | None = None
-) -> Iterator[Permutation]:
-    """Yield automorphisms in lexicographic order of their image arrays.
+def _iter_isomorphisms(
+    a: Graph,
+    b: Graph,
+    colour_a: Sequence[int],
+    colour_b: Sequence[int],
+    order: int | None = None,
+) -> Iterator[tuple[int, ...]]:
+    """Yield the isomorphisms a -> b that keep colours, as image arrays in
+    lexicographic order.
 
-    Vertices 0..n-1 are placed in turn, each on the unused vertices of its
-    colour-refinement class in ascending order.  Placing v on w is
+    Vertices 0..n-1 of ``a`` are placed in turn, each on the unused vertices
+    of ``b`` with its colour in ascending order.  Placing v on w is
     consistent when the images of v's earlier neighbours are exactly w's
     neighbours among the images placed so far.
 
-    With a prime ``order`` p, only the non-identity automorphisms whose
-    cycles all have length 1 or p are yielded: exactly the elements of
-    order p.  Every cycle stays inside one colour class, so each vertex of
-    a class smaller than p is fixed, and a partial map is abandoned as soon
-    as it closes a cycle of another length, or as soon as the vertices it
-    moves in a class can no longer reach a multiple of p.
-    Pruning only drops partial maps that no element of order p extends, so
-    the elements come out in the same order as before.
+    A prime ``order`` p is only meaningful when ``b`` is ``a``: then only
+    the maps whose cycles all have length 1 or p are yielded (the identity
+    among them).  Every cycle stays inside one colour class, so each vertex
+    of a class smaller than p is fixed, and a partial map is abandoned as
+    soon as it closes a cycle of another length, or as soon as the vertices
+    it moves in a class can no longer reach a multiple of p.  Pruning only
+    drops partial maps that no such element extends, so the rest come out
+    in the same order.
     """
-    if order is not None and order < 2:
-        raise InputError(f"automorphism order {order} is not a prime")
-    n = g.n
+    n = a.n
     if n == 0:
-        if order is None:
-            yield Permutation(())
+        yield ()
         return
-    adj = [0] * n
-    for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    colour = _colour_classes(g)
+    adj_a = adjacency_masks(a)
+    adj_b = adj_a if b is a else adjacency_masks(b)
     class_mask: dict[int, int] = {}
-    for v in range(n):
-        class_mask[colour[v]] = class_mask.get(colour[v], 0) | 1 << v
-    same_class = [class_mask[colour[v]] for v in range(n)]
+    for w in range(n):
+        class_mask[colour_b[w]] = class_mask.get(colour_b[w], 0) | 1 << w
+    same_class = [class_mask.get(colour_a[v], 0) for v in range(n)]
     if order is not None:
         same_class = [
             mask if mask.bit_count() >= order else 1 << v
             for v, mask in enumerate(same_class)
         ]
-    earlier = [[u for u in range(v) if adj[v] >> u & 1] for v in range(n)]
+    earlier = [[u for u in range(v) if adj_a[v] >> u & 1] for v in range(n)]
 
     mapping = [0] * n
     candidates = [0] * n  # level v: untried images for v
@@ -785,7 +716,7 @@ def iter_automorphisms(
     # added to its class
     moved = [0] * n
     free = [0] * n
-    for c in colour:
+    for c in colour_a:
         free[c] += 1
     added_moved = [0] * n
     added_free = [0] * n
@@ -797,13 +728,13 @@ def iter_automorphisms(
             v -= 1
             if v >= 0:
                 used ^= 1 << mapping[v]
-                moved[colour[v]] -= added_moved[v]
-                free[colour[v]] -= added_free[v]
+                moved[colour_a[v]] -= added_moved[v]
+                free[colour_a[v]] -= added_free[v]
             continue
         low = cand & -cand
         candidates[v] = cand ^ low
         w = low.bit_length() - 1
-        if adj[w] & used != wanted[v]:
+        if adj_b[w] & used != wanted[v]:
             continue
         if order is not None:
             if w == v:
@@ -823,21 +754,89 @@ def iter_automorphisms(
                 df = -dm
             # a class's moved vertices fill p-cycles, so their count must
             # reach a multiple of p with the free vertices left
-            c = colour[v]
+            c = colour_a[v]
             if -(moved[c] + dm) % order > free[c] + df:
                 continue
             added_moved[v], added_free[v] = dm, df
         mapping[v] = w
         if v == n - 1:
-            if order is None or mapping != list(range(n)):
-                yield Permutation(tuple(mapping))
+            yield tuple(mapping)
             continue
         used |= low
-        moved[colour[v]] += added_moved[v]
-        free[colour[v]] += added_free[v]
+        moved[colour_a[v]] += added_moved[v]
+        free[colour_a[v]] += added_free[v]
         v += 1
         candidates[v] = same_class[v] & ~used
         wanted[v] = sum(1 << mapping[u] for u in earlier[v])
+
+
+def _as_distinguished(g: Graph | DistinguishedGraph) -> DistinguishedGraph:
+    return g if isinstance(g, DistinguishedGraph) else DistinguishedGraph(g, ())
+
+
+def are_isomorphic(
+    a: Graph | DistinguishedGraph,
+    b: Graph | DistinguishedGraph,
+    *,
+    bound: int = ISO_BOUND_DEFAULT,
+) -> bool:
+    """Mark-respecting isomorphism test by the automorphism search, run
+    from ``a`` to ``b``.
+
+    Marks map pointwise: the i-th mark of ``a`` must land on the i-th mark of
+    ``b``.  A bijection does that iff every vertex and its image are marks at
+    the same positions, so colour refinement runs on both graphs together,
+    seeded with each vertex's degree and mark positions, and the search
+    only maps vertices within a colour class.  Raises on mark-arity
+    mismatch, and raises :class:`BudgetExceededError` above ``bound``
+    vertices.
+    """
+    da, db = _as_distinguished(a), _as_distinguished(b)
+    if len(da.marks) != len(db.marks):
+        raise InputError("mark tuples must have equal length")
+    ga, gb = da.base, db.base
+    if max(ga.n, gb.n) > bound:
+        raise BudgetExceededError(
+            f"size limit exceeded: {max(ga.n, gb.n)} > {bound} vertices"
+        )
+    if ga.n != gb.n or ga.m != gb.m:
+        return False
+    if ga.degree_sequence() != gb.degree_sequence():
+        return False
+
+    n = ga.n
+    seeds = []  # (degree, mark positions) of a's vertices, then of b's
+    for d in (da, db):
+        positions: list[tuple[int, ...]] = [()] * n
+        for i, v in enumerate(d.marks):
+            positions[v] += (i,)
+        seeds += [(d.base.degree(v), positions[v]) for v in range(n)]
+    nbrs = [*ga._adj, *(tuple(n + w for w in ws) for ws in gb._adj)]
+    colour = _stable_colours(nbrs, seeds, split=n)
+    if colour is None:
+        return False
+    found = _iter_isomorphisms(ga, gb, colour[:n], colour[n:])
+    return next(found, None) is not None
+
+
+def iter_automorphisms(
+    g: Graph, *, order: int | None = None
+) -> Iterator[Permutation]:
+    """Yield automorphisms in lexicographic order of their image arrays.
+
+    This is the isomorphism search from ``g`` to itself, over the classes
+    of colour refinement seeded with degrees.  With a prime ``order`` p,
+    only the non-identity automorphisms whose cycles all have length 1 or
+    p are yielded: exactly the elements of order p, found with the pruning
+    described in :func:`_iter_isomorphisms`.
+    """
+    if order is not None and order < 2:
+        raise InputError(f"automorphism order {order} is not a prime")
+    colour = _stable_colours(g._adj, [g.degree(v) for v in range(g.n)])
+    identity = tuple(range(g.n))
+    for images in _iter_isomorphisms(g, g, colour, colour, order):
+        if order is None or images != identity:
+            yield Permutation(images)
 
 
 def automorphism_group(

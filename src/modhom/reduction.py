@@ -24,6 +24,7 @@ from typing import Literal
 
 from .errors import BudgetExceededError, InputError
 from .graphs import (
+    ISO_BOUND_DEFAULT,
     Graph,
     Permutation,
     are_isomorphic,
@@ -37,7 +38,7 @@ ALL_PATHS_BOUND = 10
 
 
 def find_order_p_automorphism(
-    h: Graph, p: int, *, bound: int = 12
+    h: Graph, p: int, *, bound: int = ISO_BOUND_DEFAULT
 ) -> Permutation | None:
     """First (lex by images) automorphism of order exactly p, or None.
 

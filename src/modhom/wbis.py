@@ -25,11 +25,12 @@ import numpy as np
 from .counting import ZpScalar, _assert_prime, state_budget_default
 from .elimination import partition_sum
 from .errors import BudgetExceededError, InputError
-from .graphs import BipartiteGraph, Graph
+from .graphs import BipartiteGraph, Graph, adjacency_masks
 
 SUBSET_BOUND = 24
 BRANCH_BUDGET = 40
 SIDE_TRACE_BITS = 26
+SAT_BLOCK_VARS = 20
 # Independent-set indicator on an edge: both ends "in" is forbidden.
 _IS_EDGE = ((1, 1), (1, 0))
 
@@ -59,14 +60,6 @@ class WbisWeights:
 
 # ---------------------------------------------------------------------------
 # evaluators
-
-
-def _adjacency_masks(g: Graph) -> list[int]:
-    masks = [0] * g.n
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
 
 
 def _independent_set_sum(
@@ -107,7 +100,7 @@ def enumerate_independent_sets(
 ) -> Iterator[frozenset[int]]:
     """Every independent set, the empty set included, in a DFS order."""
     base = g.to_graph() if isinstance(g, BipartiteGraph) else g
-    masks = _adjacency_masks(base)
+    masks = adjacency_masks(base)
     n = base.n
     chosen: list[int] = []
 
@@ -190,9 +183,10 @@ def z_wbis_flat(
         raise BudgetExceededError("opposite side exceeds 63 bits")
 
     other_index = {v: i for i, v in enumerate(other)}
+    graph = g.to_graph()
     nbr = [0] * e
     for i, v in enumerate(enum):
-        for u in g.neighbors(v):
+        for u in graph.neighbors(v):
             nbr[i] |= 1 << other_index[u]
 
     powtab = np.array(
@@ -622,30 +616,43 @@ def parse_dimacs_cnf(text: str) -> CnfFormula:
 
 
 def count_sat(phi: CnfFormula, *, budget_vars: int = 24) -> int:
-    """Exhaustive satisfying-assignment count (vectorized in blocks)."""
+    """Exhaustive satisfying-assignment count on big-integer truth tables.
+
+    Assignments are taken in blocks of 2^20 (one block below 20 variables).
+    Bit a of a low variable's table is that variable's value in the a-th
+    assignment of a block; the high variables are constant across a block.
+    A clause's table is the OR of its literals' tables, and a block counts
+    the set bits of the AND of its clauses' tables.
+    """
     if phi.n > budget_vars:
         raise BudgetExceededError(f"{phi.n} variables exceed budget {budget_vars}")
-    pos_masks = []
-    neg_masks = []
-    for clause in phi.clauses:
-        pos = neg = 0
-        for lit in clause:
-            if lit > 0:
-                pos |= 1 << (lit - 1)
-            else:
-                neg |= 1 << (-lit - 1)
-        pos_masks.append(pos)
-        neg_masks.append(neg)
+    low = min(phi.n, SAT_BLOCK_VARS)
+    size = 1 << low
+    full = (1 << size) - 1
+    tables = []
+    for i in range(low):
+        # 2^i zeros then 2^i ones, doubled until it fills the block
+        table, width = ((1 << (1 << i)) - 1) << (1 << i), 2 << i
+        while width < size:
+            table |= table << width
+            width <<= 1
+        tables.append(table)
 
+    negated = [full ^ t for t in tables]
     total = 0
-    span = 1 << phi.n
-    chunk = 1 << min(phi.n, 20)
-    for start in range(0, span, chunk):
-        block = np.arange(start, start + chunk, dtype=np.int64)
-        ok = np.ones(chunk, dtype=bool)
-        for pos, neg in zip(pos_masks, neg_masks):
-            ok &= ((block & pos) != 0) | ((~block & neg) != 0)
-        total += int(ok.sum())
+    for block in range(1 << (phi.n - low)):
+        sat = full
+        for clause in phi.clauses:
+            column = 0
+            for lit in clause:
+                i = abs(lit) - 1
+                if i < low:
+                    column |= tables[i] if lit > 0 else negated[i]
+                elif (block >> (i - low) & 1) == (lit > 0):
+                    break  # true on the whole block
+            else:
+                sat &= column
+        total += sat.bit_count()
     return total
 
 
@@ -759,12 +766,13 @@ def build_G_phi(phi: CnfFormula, w: WbisWeights) -> GPhiConstruction:
     edges: set[tuple[int, int]] = set(core_edges)
 
     bgraph = gadget.graph
+    bgraph_plain = bgraph.to_graph()
 
     def stamped(drop: int) -> tuple[list[int], list[int], list[tuple[int, int]], list[int]]:
         reduced, index = bgraph.without([drop])
         lefts = sorted(reduced.left)
         rights = sorted(reduced.right)
-        attach_nbrs = sorted(index[x] for x in bgraph.neighbors(drop))
+        attach_nbrs = sorted(index[x] for x in bgraph_plain.neighbors(drop))
         return lefts, rights, sorted(reduced.edges), attach_nbrs
 
     minus_uL = stamped(gadget.u_L)

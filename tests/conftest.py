@@ -50,6 +50,70 @@ def flat_automorphisms(g: Graph) -> list[tuple[int, ...]]:
     ]
 
 
+def flat_marked_isomorphic(
+    a: Graph, marks_a: Sequence[int], b: Graph, marks_b: Sequence[int]
+) -> bool:
+    """Whether some bijection sends a's edges onto b's and the i-th mark of
+    a onto the i-th mark of b, by trying all n! bijections."""
+    if a.n != b.n:
+        return False
+    edges_b = {frozenset(e) for e in b.edges}
+    return any(
+        all(img[x] == y for x, y in zip(marks_a, marks_b))
+        and {frozenset((img[u], img[v])) for u, v in a.edges} == edges_b
+        for img in itertools.permutations(range(a.n))
+    )
+
+
+def flat_structure(g: Graph) -> tuple:
+    """(components, bipartition, is_tree, is_star, complete-bipartite flags)
+    by brute force: components by relaxing labels along edges until they
+    settle, and each component's sides by trying every vertex subset that
+    holds its minimum vertex."""
+    label = list(range(g.n))
+    changed = True
+    while changed:
+        changed = False
+        for u, v in g.edges:
+            if label[u] != label[v]:
+                label[u] = label[v] = min(label[u], label[v])
+                changed = True
+    comps = tuple(
+        tuple(v for v in range(g.n) if label[v] == root)
+        for root in sorted(set(label))
+    )
+    edges = {frozenset(e) for e in g.edges}
+    sides = []
+    flags = []
+    for comp in comps:
+        rest = comp[1:]
+        side = None
+        for r in range(len(rest) + 1):
+            for extra in itertools.combinations(rest, r):
+                first = {comp[0], *extra}
+                if all((u in first) != (v in first) for u, v in g.edges if u in comp):
+                    side = first
+        sides.append(side)
+        flags.append(
+            side is not None
+            and all(
+                frozenset((x, y)) in edges
+                for x in side
+                for y in comp
+                if y not in side
+            )
+        )
+    bipartition = None
+    if all(s is not None for s in sides):
+        first = frozenset(v for s in sides for v in s)
+        bipartition = (first, frozenset(range(g.n)) - first)
+    is_tree = g.n >= 1 and len(comps) == 1 and g.m == g.n - 1
+    is_star = is_tree and (
+        g.n <= 2 or any(g.degree(v) == g.n - 1 for v in range(g.n))
+    )
+    return comps, bipartition, is_tree, is_star, tuple(flags)
+
+
 def flat_spin(
     n: int,
     pairs: Sequence[tuple[int, int]],

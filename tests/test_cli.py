@@ -8,8 +8,13 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modhom.cli import RunConfig, main
+from modhom.errors import InputError
+from modhom.graphs import parse_graph
+from modhom.wbis import parse_dimacs_cnf
 
 DATA = Path(__file__).parent / "data"
 
@@ -370,6 +375,45 @@ def test_malformed_input_is_an_error_line(capsys, files, tmp_path, name, content
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert needle in err
+
+
+_TOKEN = st.one_of(
+    st.sampled_from(["p", "graph", "multi", "bip", "cnf", "e", "l", "pin", "c", "0"]),
+    st.integers(-3, 12).map(str),
+    st.text(max_size=3),
+)
+_HEADER = st.tuples(
+    st.sampled_from(["p graph", "p multi", "p bip", "p cnf", "c"]),
+    st.integers(0, 5),
+    st.integers(0, 3),
+).map(lambda t: " ".join(map(str, t)))
+_DIRECTIVE = st.tuples(
+    st.sampled_from(["e", "l", "pin", "", "-1"]), st.integers(-1, 5), st.integers(-1, 5)
+)
+_LINES = st.lists(
+    st.one_of(
+        st.lists(_TOKEN, max_size=5).map(" ".join),
+        _DIRECTIVE.map(lambda t: " ".join(map(str, t))),
+    ),
+    max_size=8,
+)
+
+
+@given(
+    _HEADER,
+    _LINES,
+    st.sampled_from(["simple", "multi", "bipartite", "labelled", "cnf"]),
+)
+@settings(max_examples=600, deadline=None)
+def test_parsers_answer_or_raise_input_error(header, lines, kind):
+    text = "\n".join([header, *lines])
+    try:
+        if kind == "cnf":
+            parse_dimacs_cnf(text)
+        else:
+            parse_graph(text, kind)
+    except InputError:
+        pass
 
 
 def test_atlas_jobs_bounded_by_cpu_count(capsys, monkeypatch, tmp_path):

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import flat_automorphisms
-from modhom.errors import InputError
+from conftest import flat_automorphisms, flat_marked_isomorphic, flat_structure
+from modhom.errors import BudgetExceededError, InputError
 from modhom.graphs import (
     BipartiteGraph,
     DistinguishedGraph,
@@ -305,6 +306,65 @@ def test_marked_isomorphism_respects_marks():
     )
 
 
+def _edge_swapped(g: Graph, rng) -> Graph:
+    """g with edges uv, xy replaced by ux, vy when that keeps it simple: the
+    degree sequence stays, the isomorphism class often does not."""
+    edges = sorted(g.edges)
+    for _ in range(10):
+        if len(edges) < 2:
+            break
+        (u, v), (x, y) = rng.sample(edges, 2)
+        if len({u, v, x, y}) == 4 and not g.has_edge(u, x) and not g.has_edge(v, y):
+            kept = [e for e in edges if e not in ((u, v), (x, y))]
+            return Graph.make(g.n, kept + [(u, x), (v, y)])
+    return g
+
+
+@given(
+    graphs_up_to(6),
+    st.randoms(use_true_random=False),
+    st.integers(0, 3),
+    st.sampled_from(("relabel", "swap", "fresh")),
+)
+@example(  # two triangles against a hexagon, marks repeated
+    Graph.make(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]),
+    random.Random(0),
+    3,
+    "swap",
+)
+@example(complete_graph(5), random.Random(1), 3, "relabel")
+@settings(max_examples=300, deadline=None)
+def test_marked_isomorphism_matches_flat_oracle(g, rng, r, how):
+    marks_a = tuple(rng.randrange(g.n) for _ in range(r))
+    if how == "relabel":
+        h = g
+    elif how == "swap":
+        h = _edge_swapped(g, rng)
+        assert h.degree_sequence() == g.degree_sequence()
+    else:
+        pairs = itertools.combinations(range(g.n), 2)
+        h = Graph.make(g.n, [e for e in pairs if rng.random() < 0.5])
+    images = list(range(g.n))
+    rng.shuffle(images)
+    h = h.relabel(images)
+    marks_b = [images[v] for v in marks_a]
+    if marks_b and rng.random() < 0.3:
+        marks_b[rng.randrange(r)] = rng.randrange(g.n)
+    a, b = DistinguishedGraph(g, marks_a), DistinguishedGraph(h, tuple(marks_b))
+    assert are_isomorphic(a, b) == flat_marked_isomorphic(g, marks_a, h, marks_b)
+    assert are_isomorphic(b, a) == are_isomorphic(a, b)
+
+
+def test_marked_isomorphism_refusals():
+    g = path_graph(3)
+    with pytest.raises(InputError):
+        are_isomorphic(DistinguishedGraph(g, (0,)), DistinguishedGraph(g, ()))
+    with pytest.raises(BudgetExceededError):
+        are_isomorphic(path_graph(13), path_graph(13))
+    assert are_isomorphic(path_graph(13), path_graph(13), bound=13)
+    assert are_isomorphic(Graph.make(0), Graph.make(0))
+
+
 @given(graphs_up_to(6), st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
 def test_relabelled_graphs_are_isomorphic(g, rng):
@@ -346,6 +406,23 @@ def test_tree_census_matches_known_sequence():
             assert t.n == n and t.m == n - 1 and t.is_connected()
         for a, b in itertools.combinations(trees, 2):
             assert not are_isomorphic(a, b)
+
+
+@given(st.one_of(graphs_up_to(8), forests_up_to(8)))
+@example(Graph.make(0))
+@example(Graph.make(7, [(0, 4), (0, 5), (1, 4), (1, 5), (2, 6), (3, 6)]))
+@example(Graph.make(6, [(0, 1), (0, 2), (3, 4), (4, 5), (5, 3)]))
+@example(Graph.make(5, [(0, 3), (0, 4), (1, 3), (2, 4)]))
+@settings(max_examples=200, deadline=None)
+def test_structure_report_matches_flat_oracle(g):
+    rep = analyze_structure(g)
+    assert (
+        rep.components,
+        rep.bipartition,
+        rep.is_tree,
+        rep.is_star,
+        rep.is_complete_bipartite_per_component,
+    ) == flat_structure(g)
 
 
 def test_structure_report_flags():

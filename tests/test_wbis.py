@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import flat_independent_sets, flat_wbis, rand_bip, wbis_census
 from modhom.counting import zp
-from modhom.errors import InputError
+from modhom.errors import BudgetExceededError, InputError
 from modhom.graphs import BipartiteGraph
 from modhom.wbis import (
     CnfFormula,
@@ -267,6 +267,47 @@ def test_count_sat_against_truth_table():
 
 def test_empty_formula_counts_all_assignments():
     assert count_sat(CnfFormula(2, ())) == 4
+    assert count_sat(CnfFormula(0, ())) == 1
+
+
+def _cnf(n_max: int):
+    """Hypothesis strategy for CNF formulas over at most ``n_max`` variables."""
+
+    def build(n: int):
+        literal = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+        return st.lists(
+            st.lists(literal, min_size=1, max_size=4).map(tuple), max_size=10
+        ).map(lambda cs: CnfFormula(n, tuple(cs)))
+
+    return st.integers(1, n_max).flatmap(build)
+
+
+@given(_cnf(8))
+@settings(max_examples=150, deadline=None)
+def test_count_sat_matches_truth_table_oracle(phi):
+    brute = sum(
+        all(any(bits[abs(l) - 1] == (l > 0) for l in clause) for clause in phi.clauses)
+        for bits in itertools.product([False, True], repeat=phi.n)
+    )
+    assert count_sat(phi) == brute
+
+
+def test_count_sat_chain_spans_blocks():
+    """(x_i or x_(i+1)) for i < 22: the binary strings of length 22 with no
+    two adjacent zeros, F(24) of them; 22 variables make four blocks."""
+    chain = CnfFormula(22, tuple((i, i + 1) for i in range(1, 22)))
+    assert count_sat(chain) == 46368
+    # a clause on the two high variables alone is false on one block: the
+    # strings ending 11, whose first 20 bits are free, F(22) of them
+    tail = CnfFormula(22, chain.clauses + ((-21, -22),))
+    assert count_sat(tail) == 46368 - 17711
+
+
+def test_count_sat_refuses_beyond_budget():
+    with pytest.raises(BudgetExceededError):
+        count_sat(CnfFormula(25, ((1,),)))
+    with pytest.raises(BudgetExceededError):
+        count_sat(CnfFormula(5, ((1,),)), budget_vars=4)
 
 
 # ---------------------------------------------------------------------------
