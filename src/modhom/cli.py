@@ -14,7 +14,13 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from .counting import ZpScalar, count_homs, is_prime, state_budget_default
+from .counting import (
+    ZpScalar,
+    count_homs,
+    is_prime,
+    state_budget_default,
+    state_budget_scope,
+)
 from .crossred import (
     connbis_transform,
     count_homs_mod_composite,
@@ -23,7 +29,7 @@ from .crossred import (
 )
 from .dichotomy import classify
 from .errors import BudgetExceededError, InputError
-from .graphs import ISO_BOUND_DEFAULT, Graph, nonisomorphic_trees, parse_graph
+from .graphs import Graph, nonisomorphic_trees, parse_graph
 from .reduction import reduced_form
 from .spin import SpinParams, classify_spin, search_gadget, search_sweep, z_spin
 from .wbis import (
@@ -54,23 +60,23 @@ def _read_text(path: str) -> str:
 @dataclass(frozen=True)
 class RunConfig:
     """Defaults shared by the subcommands; a JSON config file may set any
-    field and explicit flags win."""
+    field and explicit flags win.  ``state_budget`` bounds every partition
+    sum a subcommand evaluates."""
 
-    iso_bound: int = ISO_BOUND_DEFAULT
     state_budget: int = field(default_factory=state_budget_default)
     search_m_cap: int | None = None
     primes: tuple[int, ...] = (2, 3, 5)
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("iso_bound", "state_budget", "jobs"):
+        for name in ("state_budget", "jobs"):
             if not _is_int(getattr(self, name)):
                 raise InputError(f"config {name} must be an integer")
         if self.search_m_cap is not None and not _is_int(self.search_m_cap):
             raise InputError("config search_m_cap must be an integer or null")
         if not isinstance(self.primes, tuple) or not all(map(_is_int, self.primes)):
             raise InputError("config primes must be a list of integers")
-        if self.iso_bound <= 0 or self.state_budget <= 0 or self.jobs <= 0:
+        if self.state_budget <= 0 or self.jobs <= 0:
             raise InputError("budgets and parallelism must be positive")
         if self.search_m_cap is not None and self.search_m_cap < 2:
             raise InputError("search family cap must be at least 2")
@@ -116,12 +122,10 @@ def _parse_primes(text: str) -> tuple[int, ...]:
 def _cmd_count(args: argparse.Namespace) -> int:
     g = _read(args.source, "labelled")
     h = _read(args.target, "simple")
-    budget = args.config.state_budget
     if args.mod is not None and not is_prime(args.mod):
-        result = count_homs_mod_composite(g, h, args.mod, state_budget=budget)
-        _emit(result.to_json())
+        _emit(count_homs_mod_composite(g, h, args.mod).to_json())
         return 0
-    result = count_homs(g, h, args.mod, state_budget=budget)
+    result = count_homs(g, h, args.mod)
     _emit(
         {
             "exact": result.exact,
@@ -483,7 +487,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         args.config = RunConfig.load(args.config)
-        return args.func(args)
+        with state_budget_scope(args.config.state_budget):
+            return args.func(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

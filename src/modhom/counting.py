@@ -3,8 +3,8 @@
 The counters here are exact.  A hom count is a partition sum over the
 source with domain V(H) and edge matrix A(H), evaluated by the variable-
 elimination engine in :mod:`modhom.elimination`; the subdivision-aware
-counter uses the same engine with A(H)^ℓ on an edge of length ℓ.  Walk
-counts go through arbitrary-precision adjacency powers.  Budgets are
+counter uses the same engine with A(H)^ℓ mod p on an edge of length ℓ.
+Walk counts go through arbitrary-precision adjacency powers.  Budgets are
 explicit — an instance that needs more elimination table states than the
 state budget raises :class:`BudgetExceededError` instead of running forever.
 """
@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import itertools
 import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
@@ -158,8 +160,26 @@ class HomCount:
                 raise InputError("exact count and residue disagree")
 
 
+# The CLI config's state budget while a command runs; see state_budget_scope.
+_STATE_BUDGET: ContextVar[int | None] = ContextVar("state_budget", default=None)
+
+
+@contextmanager
+def state_budget_scope(budget: int) -> Iterator[None]:
+    """Make ``budget`` the state budget of every partition sum in the block."""
+    token = _STATE_BUDGET.set(budget)
+    try:
+        yield
+    finally:
+        _STATE_BUDGET.reset(token)
+
+
 def state_budget_default() -> int:
-    """State budget of every partition sum, env-overridable."""
+    """State budget of every partition sum: the innermost
+    :func:`state_budget_scope`, else ``MODHOM_BUDGET_STATES``, else 10^8."""
+    scoped = _STATE_BUDGET.get()
+    if scoped is not None:
+        return scoped
     raw = os.environ.get("MODHOM_BUDGET_STATES")
     if raw is None:
         return STATE_BUDGET_DEFAULT
@@ -282,7 +302,9 @@ def enumerate_homs(
 # walk counting
 
 
-def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+def _mat_mul(
+    a: list[list[int]], b: list[list[int]], mod: int | None = None
+) -> list[list[int]]:
     n = len(a)
     out = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -294,6 +316,8 @@ def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
                 row_b = b[k]
                 for jj in range(n):
                     row_out[jj] += aik * row_b[jj]
+        if mod is not None:
+            out[i] = [x % mod for x in row_out]
     return out
 
 
@@ -305,15 +329,21 @@ def adjacency_power(h: Graph, k: int) -> list[list[int]]:
     """A(h)^k over arbitrary-precision integers (k >= 0)."""
     if k < 0:
         raise InputError("walk length must be >= 0")
-    n = h.n
-    result = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    base = _adjacency_matrix(h)
-    while k:
+    if k == 0:
+        return [[int(i == j) for j in range(h.n)] for i in range(h.n)]
+    return _mat_pow(_adjacency_matrix(h), k, None)
+
+
+def _mat_pow(a: list[list[int]], k: int, mod: int | None) -> list[list[int]]:
+    """a^k (k >= 1) by repeated squaring, entries mod ``mod`` unless None."""
+    result = None
+    while True:
         if k & 1:
-            result = _mat_mul(result, base)
-        base = _mat_mul(base, base)
+            result = a if result is None else _mat_mul(result, a, mod)
         k >>= 1
-    return result
+        if not k:
+            return result
+        a = _mat_mul(a, a, mod)
 
 
 def count_walks(h: Graph, x: int, y: int, k: int) -> int:
@@ -336,6 +366,9 @@ def count_homs_subdivided(
     Equivalent to flat counting on the expanded graph: a length-ℓ edge
     contributes the (σ(u),σ(v)) entry of A(h)^ℓ, and the engine sums the
     product of these entries over all assignments of the skeleton vertices.
+    The powers are taken mod p.  A length above 1 needs matrix products of
+    n^3 multiply-adds each; beyond the state budget that is a
+    BudgetExceededError.
     """
     _assert_prime(p)
     norm_lengths: dict[tuple[int, int], int] = {}
@@ -354,15 +387,23 @@ def count_homs_subdivided(
         if not 0 <= t < h.n:
             raise InputError(f"pin target {t} out of range")
 
-    powers = {
-        ell: [[x % p for x in row] for row in adjacency_power(h, ell)]
-        for ell in set(norm_lengths.values())
-    }
+    budget = state_budget_default()
+    # One matrix product costs n^3 multiply-adds, as many as the table the
+    # engine would build to eliminate one subdivision vertex.
+    if max(norm_lengths.values(), default=1) > 1 and h.n**3 > budget:
+        raise BudgetExceededError(
+            f"adjacency powers of a {h.n}-vertex target need {h.n**3} "
+            f"multiply-adds per product > state budget {budget}; a state budget "
+            f">= {h.n**3} suffices "
+            f"(MODHOM_BUDGET_STATES, or state_budget in the CLI config)"
+        )
+    adj = _adjacency_matrix(h)
+    powers = {ell: _mat_pow(adj, ell, p) for ell in set(norm_lengths.values())}
     total = partition_sum(
         _pinned_weights(skeleton.n, pins, h.n),
         [(u, v, powers[ell]) for (u, v), ell in norm_lengths.items()],
         p,
-        state_budget_default(),
+        budget,
     )
     return ZpScalar.of(total, p)
 

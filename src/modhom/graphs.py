@@ -33,11 +33,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
-import networkx as nx
-
 from .errors import BudgetExceededError, InputError
 
 ISO_BOUND_DEFAULT = 12
+
+# Largest vertex count a graph file's header may announce; parsing
+# allocates per announced vertex, so a short header must not claim billions.
+HEADER_VERTEX_LIMIT = 10**6
 
 # Safety valve for automorphism listing: the vertex bound alone does not stop
 # e.g. K_12 from having 12! automorphisms.
@@ -426,7 +428,8 @@ def parse_graph(
     vertex ids.
 
     Raises :class:`InputError` with a line number on any syntax or range
-    violation.
+    violation, and on a header that announces more than
+    :data:`HEADER_VERTEX_LIMIT` vertices.
     """
     if kind not in ("simple", "multi", "bipartite", "labelled"):
         raise InputError(f"unknown kind {kind!r}")
@@ -455,6 +458,11 @@ def parse_graph(
                 raise fail(lineno, "header counts must be integers") from None
             if n < 0 or m < 0:
                 raise fail(lineno, "header counts must be non-negative")
+            if n > HEADER_VERTEX_LIMIT:
+                raise fail(
+                    lineno,
+                    f"header announces {n} vertices > limit {HEADER_VERTEX_LIMIT}",
+                )
             header = (parts[1], n, m)
             continue
         if header is None:
@@ -971,14 +979,83 @@ def complete_bipartite_graph(a: int, b: int) -> Graph:
 
 
 def nonisomorphic_trees(n: int) -> list[Graph]:
-    """All trees on n vertices, one per isomorphism class, in a fixed order."""
+    """All trees on n vertices, one per isomorphism class, in a fixed order.
+
+    The free-tree generator of Wright, Richmond, Odlyzko & McKay (SIAM J.
+    Comput. 1986) on top of the Beyer–Hedetniemi rooted-tree successor.  A
+    tree is its level sequence rooted at a centre: vertex i sits at depth
+    ``levels[i]`` and its parent is the nearest earlier vertex one level up.
+    The walk starts at the path rooted at its centre, so the order and the
+    labels are those of ``networkx.nonisomorphic_trees``.
+    """
     if n < 1:
         raise InputError("trees need at least one vertex")
     if n == 1:
         return [Graph.make(1)]
-    if n == 2:
-        return [Graph.make(2, [(0, 1)])]
     out = []
-    for t in nx.nonisomorphic_trees(n):
-        out.append(Graph.make(n, t.edges()))
+    levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while levels is not None:
+        levels = _next_free_tree(levels)
+        if levels is not None:
+            out.append(_level_tree(levels))
+            levels = _next_rooted_tree(levels)
     return out
+
+
+def _next_rooted_tree(levels: list[int], p: int | None = None) -> list[int] | None:
+    """The Beyer–Hedetniemi successor of a rooted level sequence: with p the
+    last vertex below depth 1 (or the given p) and q its parent, every
+    position from p on repeats ``levels[q:p]``.  None after the star."""
+    if p is None:
+        p = len(levels) - 1
+        while levels[p] == 1:
+            p -= 1
+    if p == 0:
+        return None
+    q = p - 1
+    while levels[q] != levels[p] - 1:
+        q -= 1
+    out = list(levels)
+    for i in range(p, len(out)):
+        out[i] = out[i - p + q]
+    return out
+
+
+def _next_free_tree(levels: list[int]) -> list[int] | None:
+    """``levels`` if it is the canonical sequence of a free tree rooted at a
+    centre, else the next sequence that is.  Canonical: the root's first
+    subtree is no higher than the rest of the tree and, at equal height,
+    no larger (by size, then by sequence)."""
+    m = _first_subtree_end(levels)
+    left = [x - 1 for x in levels[1:m]]
+    rest = [0] + levels[m:]
+    left_height, rest_height = max(left), max(rest)
+    if rest_height > left_height or (
+        rest_height == left_height and (len(left), left) <= (len(rest), rest)
+    ):
+        return levels
+    p = len(left)
+    new = _next_rooted_tree(levels, p)
+    if new is not None and levels[p] > 2:
+        # end on a path from the root one level deeper than the first subtree
+        height = max(new[1 : _first_subtree_end(new)])
+        new[-height:] = range(1, height + 1)
+    return new
+
+
+def _first_subtree_end(levels: list[int]) -> int:
+    """One past the root's first subtree: the second child of the root."""
+    for i in range(2, len(levels)):
+        if levels[i] == 1:
+            return i
+    return len(levels)
+
+
+def _level_tree(levels: list[int]) -> Graph:
+    last = [0] * len(levels)  # last[d]: the latest vertex at depth d
+    edges = []
+    for v in range(1, len(levels)):
+        d = levels[v]
+        edges.append((last[d - 1], v))
+        last[d] = v
+    return Graph(len(levels), frozenset(edges))

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modhom.cli import RunConfig, main
+from modhom.counting import state_budget_default
 from modhom.errors import InputError
 from modhom.graphs import parse_graph
 from modhom.wbis import parse_dimacs_cnf
@@ -475,6 +476,54 @@ def test_exit_code_budget_composite_modulus(capsys, files, tmp_path):
     err = capsys.readouterr().err
     assert "state budget >= 16 suffices" in err
     assert "state_budget in the CLI config" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "k2.graph", "k2.graph"],
+        ["wbis", "z", "k2.bip", "--p", "5", "--lambda-left", "3", "--lambda-right", "2"],
+        ["wbis", "sat-reduce", "phi.cnf", "--p", "3", "--lambda-left", "1", "--lambda-right", "1"],
+        ["spin", "z", "spin.graph", "--p", "7", "--gamma", "3", "--lambda", "2"],
+        ["verify", "wbis-to-homs", "k2.bip", "dstar.graph", "--p", "5"],
+        ["verify", "sat-to-wbis", "phi.cnf", "--p", "2", "--lambda-left", "1", "--lambda-right", "1"],
+        ["verify", "connbis", "k2.bip"],
+        ["verify", "p4", "k2.bip"],
+        ["verify", "reduction-congruence", "k2.graph", "p4.graph", "--p", "2"],
+    ],
+)
+def test_config_state_budget_bounds_every_partition_sum(capsys, files, argv, monkeypatch):
+    """The config key wins over the environment, for every subcommand that
+    evaluates a partition sum, and only while main runs."""
+    monkeypatch.setenv("MODHOM_BUDGET_STATES", str(10**6))
+    conf = files["dir"] / "one.json"
+    conf.write_text('{"state_budget": 1}')
+    (files["dir"] / "dstar.graph").write_text(
+        "p graph 7 6\ne 1 2\ne 1 3\ne 1 4\ne 1 5\ne 2 6\ne 2 7\n"
+    )
+    paths = dict(files, **{"dstar.graph": str(files["dir"] / "dstar.graph")})
+    argv = [paths.get(a, a) for a in argv]
+    assert main(["--config", str(conf), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "state budget 1;" in err
+    assert state_budget_default() == 10**6
+    assert main(argv) == 0
+
+
+@pytest.mark.parametrize(
+    "header, argv",
+    [
+        ("p bip 100000000 0", ["wbis", "z", "{f}", "--p", "5", "--lambda-left", "1", "--lambda-right", "1"]),
+        ("p graph 100000000 0", ["classify", "{f}", "--p", "2"]),
+    ],
+)
+def test_exit_code_huge_header(capsys, tmp_path, header, argv):
+    f = tmp_path / "huge.graph"
+    f.write_text(header + "\n")
+    assert main([a.format(f=f) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1: header announces 100000000") and err.count("\n") == 1
 
 
 def test_exit_code_usage(capsys):

@@ -286,6 +286,19 @@ def test_subdivided_count_matches_expanded_graph():
         assert want.value == flat_hom_count(expanded, h, pins) % p
 
 
+def test_subdivided_powers_are_bounded_by_the_state_budget(monkeypatch):
+    """A length above 1 needs n^3-step matrix products; length 1 needs none."""
+    sk = path_graph(2)
+    h = path_graph(5)
+    monkeypatch.setenv("MODHOM_BUDGET_STATES", str(5**3 - 1))
+    with pytest.raises(BudgetExceededError, match="state budget >= 125 suffices"):
+        count_homs_subdivided(sk, {(0, 1): 2}, {}, h, 3)
+    assert count_homs_subdivided(sk, {(0, 1): 1}, {}, h, 3).value == 8 % 3
+    monkeypatch.setenv("MODHOM_BUDGET_STATES", str(5**3))
+    # closed and open 2-walks in P5: sum of squared degrees
+    assert count_homs_subdivided(sk, {(0, 1): 2}, {}, h, 3).value == 14 % 3
+
+
 def test_subdivided_rejects_missing_length():
     sk = path_graph(3)
     with pytest.raises(InputError):

@@ -9,6 +9,7 @@ machinery that normally certifies it.
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -93,6 +94,22 @@ def test_identity_on_single_edge_source():
     assert report.lhs.value == report.rhs.value == 1
     assert "subdivided" in report.checks
     assert "class-audit" in report.checks
+
+
+def test_identity_on_large_target_is_refused_at_once(monkeypatch):
+    """On a caterpillar with a 1200-vertex spine the certificate path has
+    1199 edges, and each product of A^1199 on 2400 vertices costs
+    2400^3 multiply-adds: far beyond the default state budget."""
+    monkeypatch.delenv("MODHOM_BUDGET_STATES", raising=False)
+    spine = 1200
+    h = Graph.make(
+        2 * spine,
+        [(i, i + 1) for i in range(spine - 1)] + [(i, spine + i) for i in range(spine)],
+    )
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="state budget >= 13824000000 suffices"):
+        verify_wbis_to_homs(K2, h, 2)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_identity_on_single_left_vertex():

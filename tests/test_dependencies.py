@@ -1,0 +1,64 @@
+"""The runtime dependencies declared in pyproject.toml are exactly the
+third-party packages the library imports, and importing modhom loads no
+other third-party package."""
+
+from __future__ import annotations
+
+import ast
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+PACKAGE = SRC / "modhom"
+
+
+def declared_dependencies() -> set[str]:
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    return {re.match(r"[A-Za-z0-9_.-]+", req).group(0) for req in project["dependencies"]}
+
+
+def third_party_imports() -> set[str]:
+    """Top-level names of every absolute, non-stdlib import in the package,
+    including imports inside functions."""
+    found: set[str] = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found.update(name.split(".")[0] for name in names)
+    return {name for name in found if name not in sys.stdlib_module_names}
+
+
+def test_declared_dependencies_are_the_imported_ones():
+    assert third_party_imports() == declared_dependencies()
+
+
+def test_import_loads_no_undeclared_package():
+    probe = (
+        "import sys; before = set(sys.modules); import modhom; "
+        "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+        "print(' '.join(sorted(new - set(sys.stdlib_module_names))))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    ).stdout.split()
+    assert "networkx" not in out
+    assert set(out) == {"modhom"} | declared_dependencies()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -196,6 +197,22 @@ def test_parse_errors(text, fragment):
     with pytest.raises(InputError) as err:
         parse_graph(text)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text, kind",
+    [
+        ("p bip 100000000 0\n", "bipartite"),
+        ("p graph 100000000 0\n", "simple"),
+        ("p multi 100000000 0\n", "multi"),
+        ("p graph 100000000 0\n", "labelled"),
+    ],
+)
+def test_parse_rejects_huge_headers_before_allocating(text, kind):
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="line 1: header announces 100000000"):
+        parse_graph(text, kind)
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +411,34 @@ def test_named_builders():
     assert star_graph(5).degree(0) == 5
     assert complete_graph(5).m == 10
     assert complete_bipartite_graph(2, 3).m == 6
+
+
+# OEIS A000055: unlabelled trees on n = 1..16 vertices.
+A000055 = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320]
+
+
+def test_tree_counts_match_a000055():
+    for n, want in enumerate(A000055, start=1):
+        assert len(nonisomorphic_trees(n)) == want
+
+
+def test_tree_generator_edge_cases():
+    assert nonisomorphic_trees(1) == [Graph.make(1)]
+    assert nonisomorphic_trees(2) == [Graph.make(2, [(0, 1)])]
+    for n in (0, -1):
+        with pytest.raises(InputError):
+            nonisomorphic_trees(n)
+
+
+def test_tree_order_and_labels_match_networkx():
+    """The golden atlas stores each tree's index and edges, so the order
+    and the vertex labels are those of networkx's generator."""
+    nx = pytest.importorskip("networkx")
+    for n in range(2, 15):
+        want = [Graph.make(n, t.edges()) for t in nx.nonisomorphic_trees(n)]
+        got = nonisomorphic_trees(n)
+        assert got == want
+        assert [t.sorted_edges() for t in got] == [t.sorted_edges() for t in want]
 
 
 def test_tree_census_matches_known_sequence():
