@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
+import numpy as np
+
 from .elimination import partition_sum
 from .errors import BudgetExceededError, InputError
 from .graphs import (
@@ -302,27 +304,11 @@ def enumerate_homs(
 # walk counting
 
 
-def _mat_mul(
-    a: list[list[int]], b: list[list[int]], mod: int | None = None
-) -> list[list[int]]:
-    n = len(a)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        row_a = a[i]
-        row_out = out[i]
-        for k in range(n):
-            aik = row_a[k]
-            if aik:
-                row_b = b[k]
-                for jj in range(n):
-                    row_out[jj] += aik * row_b[jj]
-        if mod is not None:
-            out[i] = [x % mod for x in row_out]
-    return out
-
-
 def _adjacency_matrix(h: Graph) -> list[list[int]]:
-    return [[int(h.has_edge(i, j)) for j in range(h.n)] for i in range(h.n)]
+    out = [[0] * h.n for _ in range(h.n)]
+    for u, v in h.edges:
+        out[u][v] = out[v][u] = 1
+    return out
 
 
 def adjacency_power(h: Graph, k: int) -> list[list[int]]:
@@ -335,15 +321,37 @@ def adjacency_power(h: Graph, k: int) -> list[list[int]]:
 
 
 def _mat_pow(a: list[list[int]], k: int, mod: int | None) -> list[list[int]]:
-    """a^k (k >= 1) by repeated squaring, entries mod ``mod`` unless None."""
+    """a^k (k >= 1) by repeated squaring, entries mod ``mod`` unless None.
+
+    Residues live in the narrowest of int32 and int64 that holds a
+    product's n terms of at most (mod-1)^2 each, multiplied by einsum's
+    integer loops; exact powers and larger moduli use Python ints in
+    object arrays and numpy's object matrix product.
+    """
+    n = len(a)
+    bound = None if mod is None else n * (mod - 1) ** 2
+    if bound is not None and bound < 1 << 31:
+        dtype = np.int32
+    elif bound is not None and bound < 1 << 63:
+        dtype = np.int64
+    else:
+        dtype = object
+
+    def product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        z = x @ y if dtype is object else np.einsum("ij,jk->ik", x, y)
+        return z if mod is None else z % mod
+
+    base = np.array(a, dtype=dtype).reshape(n, n)
+    if mod is not None:
+        base %= mod
     result = None
     while True:
         if k & 1:
-            result = a if result is None else _mat_mul(result, a, mod)
+            result = base if result is None else product(result, base)
         k >>= 1
         if not k:
-            return result
-        a = _mat_mul(a, a, mod)
+            return result.tolist()
+        base = product(base, base)
 
 
 def count_walks(h: Graph, x: int, y: int, k: int) -> int:

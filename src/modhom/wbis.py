@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .counting import ZpScalar, _assert_prime, state_budget_default
-from .elimination import partition_sum
+from .elimination import _INT64_MOD, partition_sum
 from .errors import BudgetExceededError, InputError
 from .graphs import BipartiteGraph, Graph, adjacency_masks
 
@@ -95,26 +95,53 @@ def z_wbis_exact(g: BipartiteGraph, lambda_l: int, lambda_r: int) -> int:
     return _independent_set_sum(g.edges, _side_weights(g, lambda_l, lambda_r), None)
 
 
+def _independent_masks(masks: Sequence[int]) -> Iterator[int]:
+    """Every independent set as a bitmask, the empty set first, in the DFS
+    order that decides vertices 0, 1, ... and tries "out" before "in".
+
+    ``masks[v]`` is v's neighbourhood.  A state is (the vertices still
+    free to join, the set so far).  Following the "out" branches down to
+    the empty free set yields the current set and stacks each "in"
+    branch passed on the way; the last one stacked is taken next.
+    """
+    stack = [((1 << len(masks)) - 1, 0)]
+    while stack:
+        free, chosen = stack.pop()
+        while free:
+            low = free & -free
+            free ^= low
+            stack.append((free & ~masks[low.bit_length() - 1], chosen | low))
+        yield chosen
+
+
+def _members(mask: int) -> frozenset[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(out)
+
+
 def enumerate_independent_sets(
     g: Graph | BipartiteGraph,
 ) -> Iterator[frozenset[int]]:
-    """Every independent set, the empty set included, in a DFS order."""
+    """Every independent set, the empty set included, in a DFS order that
+    excludes each vertex before it includes it."""
     base = g.to_graph() if isinstance(g, BipartiteGraph) else g
-    masks = adjacency_masks(base)
-    n = base.n
-    chosen: list[int] = []
+    return map(_members, _independent_masks(adjacency_masks(base)))
 
-    def rec(i: int, banned: int) -> Iterator[frozenset[int]]:
-        if i == n:
-            yield frozenset(chosen)
-            return
-        yield from rec(i + 1, banned)
-        if not banned >> i & 1:
-            chosen.append(i)
-            yield from rec(i + 1, banned | masks[i] | (1 << i))
-            chosen.pop()
 
-    yield from rec(0, 0)
+def _side_census(g: BipartiteGraph) -> dict[tuple[int, int], int]:
+    """#independent sets by (left members, right members), by literal
+    enumeration."""
+    left_mask = sum(1 << v for v in g.left)
+    census: dict[tuple[int, int], int] = {}
+    for mask in _independent_masks(adjacency_masks(g.to_graph())):
+        nl = (mask & left_mask).bit_count()
+        key = (nl, mask.bit_count() - nl)
+        census[key] = census.get(key, 0) + 1
+    return census
 
 
 def z_wbis_subsets(g: BipartiteGraph, lambda_l: int, lambda_r: int) -> int:
@@ -123,33 +150,27 @@ def z_wbis_subsets(g: BipartiteGraph, lambda_l: int, lambda_r: int) -> int:
         raise BudgetExceededError(
             f"subset oracle limited to {SUBSET_BOUND} vertices"
         )
-    total = 0
-    for iset in enumerate_independent_sets(g):
-        nl = sum(1 for v in iset if v in g.left)
-        total += lambda_l**nl * lambda_r ** (len(iset) - nl)
-    return total
+    return sum(
+        count * lambda_l**nl * lambda_r**nr
+        for (nl, nr), count in _side_census(g).items()
+    )
 
 
-_POP16: np.ndarray | None = None
-
-
-def _pop16() -> np.ndarray:
-    global _POP16
-    if _POP16 is None:
-        _POP16 = np.array(
-            [bin(i).count("1") for i in range(1 << 16)], dtype=np.int64
-        )
-    return _POP16
+_M1 = np.uint64(0x5555555555555555)
+_M2 = np.uint64(0x3333333333333333)
+_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
+_H01 = np.uint64(0x0101010101010101)
+# (high, low) pairs of blocked sets the side-trace sweep takes per numpy step.
+_SWEEP_CELLS = 1 << 16
 
 
 def _popcount64(x: np.ndarray) -> np.ndarray:
-    t = _pop16()
-    return (
-        t[x & 0xFFFF]
-        + t[(x >> 16) & 0xFFFF]
-        + t[(x >> 32) & 0xFFFF]
-        + t[(x >> 48) & 0xFFFF]
-    )
+    """Set bits of each uint64, by the SWAR sums of bit pairs, nibbles and
+    bytes (the last product wraps mod 2^64 and keeps the byte sum on top)."""
+    x = x - ((x >> np.uint64(1)) & _M1)
+    x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
+    x = (x + (x >> np.uint64(4))) & _M4
+    return (x * _H01) >> np.uint64(56)
 
 
 def z_wbis_flat(
@@ -163,9 +184,14 @@ def z_wbis_flat(
 
     Every independent set is a subset S of the enumerated side plus an
     arbitrary subset of the opposite vertices not adjacent to S, so
-    Z = Σ_S w_e^{|S|} (1+w_o)^{#unblocked}.  The sweep over S is split into
-    low/high halves with the inner half handled by numpy, which keeps graphs
-    like the CNF constructions at p=2 (24+24 vertices) in easy reach.
+    Z = Σ_S w_e^{|S|} (1+w_o)^{#unblocked}.  S splits into a low and a high
+    half.  Each half's subsets are tabulated as (blocked mask, w_e^{|S|})
+    and folded to one entry per distinct blocked mask, with the weights of
+    equal masks summed mod p; the sweep then pairs distinct masks only,
+    blocked(S) = blocked(S_lo) | blocked(S_hi).  The fold is what keeps
+    graphs like the CNF constructions at p=2 cheap: at 24+24 vertices it
+    leaves at most 729 × ~2000 pairs of the 4096 × 4096.  Residues live in
+    int64 up to ``elimination._INT64_MOD`` and in Python ints above it.
     """
     p = w.p
     if side not in ("auto", "left", "right"):
@@ -184,40 +210,37 @@ def z_wbis_flat(
 
     other_index = {v: i for i, v in enumerate(other)}
     graph = g.to_graph()
-    nbr = [0] * e
-    for i, v in enumerate(enum):
-        for u in graph.neighbors(v):
-            nbr[i] |= 1 << other_index[u]
-
+    nbr = [sum(1 << other_index[u] for u in graph.neighbors(v)) for v in enum]
+    dtype = object if p > _INT64_MOD else np.int64
+    # entry k: (1+w_o)^(free opposite vertices) when k of them are blocked
     powtab = np.array(
-        [pow((wo + 1) % p, j, p) for j in range(no + 1)], dtype=np.int64
+        [pow(wo + 1, no - k, p) for k in range(no + 1)], dtype=dtype
     )
 
+    def folded_half(vertices: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        blocked = np.zeros(1, dtype=np.uint64)
+        weight = np.ones(1, dtype=dtype)
+        for mask in vertices:
+            blocked = np.concatenate([blocked, blocked | np.uint64(mask)])
+            weight = np.concatenate([weight, weight * we % p])
+        distinct, where = np.unique(blocked, return_inverse=True)
+        summed = np.zeros(len(distinct), dtype=dtype)
+        np.add.at(summed, where, weight)
+        summed %= p
+        keep = summed != 0
+        return distinct[keep], summed[keep]
+
     h1 = min(e, max(e // 2, e - 13))
-    lo_bits, hi_bits = h1, e - h1
-
-    def trace_tables(offset: int, bits: int) -> tuple[np.ndarray, np.ndarray]:
-        size = 1 << bits
-        nmask = np.zeros(size, dtype=np.int64)
-        wacc = np.zeros(size, dtype=np.int64)
-        wacc[0] = 1
-        for mask in range(1, size):
-            low = mask & -mask
-            b = low.bit_length() - 1
-            prev = mask ^ low
-            nmask[mask] = nmask[prev] | nbr[offset + b]
-            wacc[mask] = wacc[prev] * we % p
-        return nmask, wacc
-
-    n_lo, w_lo = trace_tables(0, lo_bits)
-    n_hi, w_hi = trace_tables(lo_bits, hi_bits)
+    lo_mask, lo_w = folded_half(nbr[:h1])
+    hi_mask, hi_w = folded_half(nbr[h1:])
 
     total = 0
-    for hi in range(1 << hi_bits):
-        union = n_lo | n_hi[hi]
-        avail = no - _popcount64(union)
-        terms = w_lo * powtab[avail] % p
-        total = (total + int(w_hi[hi]) * int(terms.sum())) % p
+    step = max(1, _SWEEP_CELLS // max(1, len(lo_mask)))
+    for start in range(0, len(hi_mask), step):
+        blocked = hi_mask[start : start + step, None] | lo_mask
+        terms = lo_w * powtab[_popcount64(blocked)] % p
+        rows = terms.sum(axis=1) % p
+        total = (total + int((hi_w[start : start + step] * rows % p).sum())) % p
     return ZpScalar.of(total, p)
 
 
@@ -283,12 +306,11 @@ def split_sum_report(g: BipartiteGraph, w: WbisWeights) -> SplitSumReport:
     total = z_wbis_exact(g, ll, lr)
     derived_mixed = total - left_only - right_only + 1
     if g.n <= SUBSET_BOUND:
-        census = 0
-        for iset in enumerate_independent_sets(g):
-            nl = sum(1 for v in iset if v in g.left)
-            nr = len(iset) - nl
-            if nl and nr:
-                census += ll**nl * lr**nr
+        census = sum(
+            count * ll**nl * lr**nr
+            for (nl, nr), count in _side_census(g).items()
+            if nl and nr
+        )
         if census != derived_mixed:
             raise RuntimeError(
                 "internal verification failure: mixed-set census disagrees "

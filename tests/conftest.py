@@ -201,6 +201,18 @@ def flat_independent_sets(g: BipartiteGraph | Graph) -> int:
     )
 
 
+def flat_independent_set_sequence(g: BipartiteGraph | Graph) -> list[frozenset[int]]:
+    """Every independent set in the order that decides vertex 0 first, then
+    vertex 1, ..., each "out" before "in": itertools.product over 0/1
+    membership vectors, kept when no edge has both ends in."""
+    base = g.to_graph() if isinstance(g, BipartiteGraph) else g
+    out = []
+    for bits in itertools.product((0, 1), repeat=base.n):
+        if not any(bits[u] and bits[v] for u, v in base.edges):
+            out.append(frozenset(v for v in range(base.n) if bits[v]))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # random corpora (all deterministic: pass an explicitly seeded Random)
 

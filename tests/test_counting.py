@@ -299,6 +299,19 @@ def test_subdivided_powers_are_bounded_by_the_state_budget(monkeypatch):
     assert count_homs_subdivided(sk, {(0, 1): 2}, {}, h, 3).value == 14 % 3
 
 
+@pytest.mark.parametrize("p", [2, 97, 1_000_000_007, 2**61 - 1])
+def test_subdivided_powers_in_every_residue_width(p):
+    """Adjacency powers mod p live in int32, int64 or Python ints by the
+    size of p; one length-13 edge counts the 13-walks of h, summed here
+    step by step over the integers."""
+    h = rand_graph(random.Random(RNG_SEED + 2), 9, 0.5)
+    walks = [1] * h.n
+    for _ in range(13):
+        walks = [sum(walks[u] for u in h.neighbors(v)) for v in range(h.n)]
+    got = count_homs_subdivided(path_graph(2), {(0, 1): 13}, {}, h, p)
+    assert got.value == sum(walks) % p
+
+
 def test_subdivided_rejects_missing_length():
     sk = path_graph(3)
     with pytest.raises(InputError):

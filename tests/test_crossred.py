@@ -112,6 +112,23 @@ def test_identity_on_large_target_is_refused_at_once(monkeypatch):
     assert time.perf_counter() - start < 1.0
 
 
+def test_identity_on_a_460_vertex_target_answers_in_time(monkeypatch):
+    """A caterpillar with a 230-vertex spine: A^229 mod 2 on 460 vertices
+    takes eleven products of 9.7e7 multiply-adds each, just within the
+    default state budget, and numpy's integer products keep it brief."""
+    monkeypatch.delenv("MODHOM_BUDGET_STATES", raising=False)
+    spine = 230
+    h = Graph.make(
+        2 * spine,
+        [(i, i + 1) for i in range(spine - 1)] + [(i, spine + i) for i in range(spine)],
+    )
+    start = time.perf_counter()
+    report = verify_wbis_to_homs(K2, h, 2)
+    assert time.perf_counter() - start < 2.0
+    assert report.ok
+    assert report.checks == ("subdivided",)
+
+
 def test_identity_on_single_left_vertex():
     g = BipartiteGraph.make([0], [], [])
     report = verify_wbis_to_homs(g, double_star(3, 2), 5)

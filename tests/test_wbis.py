@@ -13,10 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import flat_independent_sets, flat_wbis, rand_bip, wbis_census
+from conftest import (
+    flat_independent_set_sequence,
+    flat_independent_sets,
+    flat_wbis,
+    rand_bip,
+    wbis_census,
+)
 from modhom.counting import zp
 from modhom.errors import BudgetExceededError, InputError
-from modhom.graphs import BipartiteGraph
+from modhom.graphs import BipartiteGraph, path_graph
 from modhom.wbis import (
     CnfFormula,
     WbisWeights,
@@ -24,12 +30,15 @@ from modhom.wbis import (
     build_G_phi,
     count_independent_sets,
     count_sat,
+    enumerate_independent_sets,
     parse_dimacs_cnf,
     select_gadget,
     split_sum_report,
     verify_sat_reduction,
     z_wbis,
     z_wbis_exact,
+    z_wbis_flat,
+    z_wbis_subsets,
 )
 
 RNG_SEED = 0x5EED04
@@ -123,6 +132,90 @@ def test_split_sum_identity_by_hand_and_at_scale():
         assert rep.total == flat_wbis(
             g, w.lambda_l.value, w.lambda_r.value
         )
+
+
+# ---------------------------------------------------------------------------
+# the cross-check evaluators: subset enumeration and the side-trace sweep
+
+
+def test_enumeration_order_matches_naive_oracle():
+    rng = random.Random(RNG_SEED + 5)
+    for _ in range(25):
+        g = rand_bip(rng, rng.randint(0, 5), rng.randint(0, 5), 0.4)
+        assert list(enumerate_independent_sets(g)) == flat_independent_set_sequence(g)
+    path = path_graph(7)
+    assert list(enumerate_independent_sets(path)) == flat_independent_set_sequence(path)
+
+
+def test_enumeration_needs_no_recursion():
+    assert next(enumerate_independent_sets(path_graph(5000))) == frozenset()
+
+
+def test_subset_oracle_matches_census():
+    rng = random.Random(RNG_SEED + 6)
+    for _ in range(20):
+        g = rand_bip(rng, rng.randint(0, 6), rng.randint(0, 6), 0.4)
+        ll, lr = rng.randint(0, 6), rng.randint(0, 6)
+        assert z_wbis_subsets(g, ll, lr) == flat_wbis(g, ll, lr)
+    big = BipartiteGraph.make(range(13), range(13, 25))
+    with pytest.raises(BudgetExceededError, match="24 vertices"):
+        z_wbis_subsets(big, 1, 1)
+
+
+@st.composite
+def shared_neighbourhoods(draw) -> BipartiteGraph:
+    """Left vertices drawn from at most three right neighbourhoods (the
+    empty one allowed), so many share one and the sweep's fold merges their
+    subsets; either side may be empty, and labels are shuffled."""
+    nl = draw(st.integers(min_value=0, max_value=7))
+    nr = draw(st.integers(min_value=0, max_value=6))
+    hood = st.frozensets(st.integers(min_value=0, max_value=max(nr - 1, 0)))
+    hoods = draw(st.lists(hood if nr else st.just(frozenset()), min_size=1, max_size=3))
+    pick = st.integers(min_value=0, max_value=len(hoods) - 1)
+    picks = draw(st.lists(pick, min_size=nl, max_size=nl))
+    labels = draw(st.permutations(range(nl + nr)))
+    left, right = labels[:nl], labels[nl:]
+    edges = [(left[i], right[j]) for i, h in enumerate(picks) for j in hoods[h]]
+    return BipartiteGraph.make(left, right, edges)
+
+
+@given(
+    shared_neighbourhoods(),
+    st.sampled_from([2, 3, 5, 101]),
+    st.integers(min_value=0, max_value=100),
+    st.integers(min_value=0, max_value=100),
+)
+@settings(max_examples=80, deadline=None)
+def test_side_trace_matches_census_property(g, p, ll, lr):
+    w = WbisWeights.of(ll, lr, p)
+    want = flat_wbis(g, w.lambda_l.value, w.lambda_r.value) % p
+    for side in ("auto", "left", "right"):
+        assert z_wbis_flat(g, w, side=side).value == want
+
+
+@pytest.mark.parametrize("p", [4294967311, 2**61 - 1])
+def test_side_trace_beyond_int64_products(p):
+    """Residues whose products overflow an int64 go through Python ints."""
+    rng = random.Random(RNG_SEED + 7)
+    for _ in range(20):
+        g = rand_bip(rng, 6, 7, 0.5)
+        ll, lr = rng.randrange(1, p), rng.randrange(1, p)
+        want = z_wbis_exact(g, ll, lr) % p
+        for side in ("auto", "left", "right"):
+            assert z_wbis_flat(g, WbisWeights.of(ll, lr, p), side=side).value == want
+
+
+def test_side_trace_refusals():
+    g = rand_bip(random.Random(RNG_SEED + 8), 5, 6, 0.5)
+    w = WbisWeights.of(1, 2, 3)
+    with pytest.raises(BudgetExceededError, match="enumerated side 5 exceeds 4 bits"):
+        z_wbis_flat(g, w, side="left", budget_bits=4)
+    assert z_wbis_flat(g, w, side="left", budget_bits=5).value == z_wbis_exact(g, 1, 2) % 3
+    star = BipartiteGraph.make([0], range(1, 65), [(0, v) for v in range(1, 65)])
+    with pytest.raises(BudgetExceededError, match="opposite side exceeds 63 bits"):
+        z_wbis_flat(star, w)
+    with pytest.raises(InputError):
+        z_wbis_flat(g, w, side="middle")
 
 
 # ---------------------------------------------------------------------------
@@ -369,3 +462,33 @@ def test_sat_reduction_flat_confirmation_p2():
     assert report.ok
     assert flat == report.lhs.value
     assert flat == (report.K * zp(report.sat, 2)).value
+
+
+@pytest.mark.parametrize(
+    "n, c, p, checks",
+    [
+        (1, 1, 2, ("flat_subsets",)),
+        (1, 2, 2, ("flat_subsets",)),
+        (2, 2, 2, ("branching", "side_trace")),
+        (3, 2, 2, ("side_trace",)),
+        (3, 3, 2, ("side_trace",)),
+        *[(n, c, p, ()) for p in (3, 5, 7) for n, c in ((2, 2), (3, 2), (3, 3))],
+        (4, 2, 3, ()),
+        (4, 2, 7, ()),
+    ],
+)
+def test_sat_reduction_cross_checks_by_shape(n, c, p, checks):
+    """Which cross-checks run depends on the size of G_phi alone: the
+    benchmark's (variables, clauses, p) shapes, on seeded formulas."""
+    rng = random.Random(f"{RNG_SEED}/{n}/{c}/{p}")
+    clauses = tuple(
+        tuple(
+            v if rng.random() < 0.5 else -v
+            for v in rng.sample(range(1, n + 1), min(3, n))
+        )
+        for _ in range(c)
+    )
+    w = WbisWeights.of(rng.randrange(1, p), rng.randrange(1, p), p)
+    report = verify_sat_reduction(CnfFormula(n, clauses), w)
+    assert report.ok
+    assert report.checks == checks
