@@ -273,31 +273,39 @@ def enumerate_homs(
             if u in pins and not h.has_edge(pins[v], pins[u]):
                 return
     free_order = [v for v in order if v not in pins]
-    yielded = 0
 
-    def extend(i: int) -> Iterator[dict[int, int]]:
-        nonlocal yielded
-        if i == len(free_order):
+    def candidates(v: int) -> Iterator[int]:
+        pool: set[int] | None = None
+        for u in g.neighbors(v):
+            if u in assignment:
+                nbrs = h.neighbors(assignment[u])
+                pool = set(nbrs) if pool is None else pool & nbrs
+                if not pool:
+                    return iter(())
+        return iter(sorted(pool) if pool is not None else range(h.n))
+
+    # stack[i] iterates the untried images of free_order[i]; the first
+    # len(stack) free vertices are assigned whenever the loop comes round.
+    stack: list[Iterator[int]] = []
+    yielded = 0
+    while True:
+        if len(stack) == len(free_order):
             yielded += 1
             if yielded > limit:
                 raise BudgetExceededError(f"more than {limit} homomorphisms")
             yield dict(assignment)
+        else:
+            stack.append(candidates(free_order[len(stack)]))
+        while stack:
+            v = free_order[len(stack) - 1]
+            w = next(stack[-1], None)
+            if w is not None:
+                assignment[v] = w
+                break
+            stack.pop()
+            assignment.pop(v, None)
+        else:
             return
-        v = free_order[i]
-        candidates: set[int] | None = None
-        for u in g.neighbors(v):
-            if u in assignment:
-                nbrs = h.neighbors(assignment[u])
-                candidates = set(nbrs) if candidates is None else candidates & nbrs
-                if not candidates:
-                    return
-        pool = sorted(candidates) if candidates is not None else range(h.n)
-        for w in pool:
-            assignment[v] = w
-            yield from extend(i + 1)
-            del assignment[v]
-
-    yield from extend(0)
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +471,27 @@ class TupleVector:
         return out
 
 
+def _marked_count(
+    g: Graph,
+    marks: Sequence[int],
+    targets: Sequence[int],
+    h: Graph,
+    p: int,
+    state_budget: int | None = None,
+) -> ZpScalar:
+    """Homs of g mod p with marks[i] pinned to targets[i]; 0 when one mark
+    would need two different targets."""
+    pins: dict[int, int] = {}
+    for mark, t in zip(marks, targets):
+        if pins.setdefault(mark, t) != t:
+            return ZpScalar.of(0, p)
+    hc = count_homs(
+        PartiallyLabelledGraph.make(g, pins), h, p, state_budget=state_budget
+    )
+    assert hc.residue is not None
+    return hc.residue
+
+
 def tuple_vector(
     g: DistinguishedGraph,
     h: Graph,
@@ -483,23 +512,11 @@ def tuple_vector(
     if nu > TUPLE_BUDGET:
         raise BudgetExceededError(f"tuple space {h.n}^{r} exceeds {TUPLE_BUDGET}")
 
-    def entry(tgt: tuple[int, ...]) -> ZpScalar:
-        pins: dict[int, int] = {}
-        for mark, t in zip(g.marks, tgt):
-            if mark in pins and pins[mark] != t:
-                return ZpScalar.of(0, p)
-            pins[mark] = t
-        hc = count_homs(
-            PartiallyLabelledGraph.make(g.base, pins),
-            h,
-            p,
-            state_budget=state_budget,
-        )
-        assert hc.residue is not None
-        return hc.residue
-
     all_tuples = list(itertools.product(range(h.n), repeat=r))
-    raw = [entry(t) for t in all_tuples]
+    raw = [
+        _marked_count(g.base, g.marks, t, h, p, state_budget)
+        for t in all_tuples
+    ]
     if not contract:
         return TupleVector(
             arity=r,
@@ -641,20 +658,8 @@ def find_distinguisher(
     for size in range(1, budget + 1):
         for probe in _connected_probes(size):
             for mk in itertools.product(range(size), repeat=r):
-                def pinned_count(targets: tuple[int, ...]) -> ZpScalar | None:
-                    pins: dict[int, int] = {}
-                    for v, t in zip(mk, targets):
-                        if v in pins and pins[v] != t:
-                            return ZpScalar.of(0, p)
-                        pins[v] = t
-                    hc = count_homs(
-                        PartiallyLabelledGraph.make(probe, pins), h, p
-                    )
-                    assert hc.residue is not None
-                    return hc.residue
-
-                ca = pinned_count(marks_a)
-                cb = pinned_count(marks_b)
+                ca = _marked_count(probe, mk, marks_a, h, p)
+                cb = _marked_count(probe, mk, marks_b, h, p)
                 if ca != cb:
                     return DistinguisherResult(
                         probe=DistinguishedGraph(probe, mk),

@@ -15,26 +15,24 @@ bundle of parallel edges to a pinned partner y.  For each component the two
 forms, products of which evaluate whole gadgets without touching the
 underlying graph.  ``search_gadget`` scans the family for a vector whose two
 halves agree and do not vanish, which is the success condition the
-classifier's hardness verdicts rely on; the search is exact about its
-enumeration order, and a subgroup argument lets it skip the literal scan
-without changing which vector is found first.
+classifier's hardness verdicts rely on.  The search is exact about its
+enumeration order: it returns the first hit of the literal scan, located from
+the residues each prefix of the family can reach instead of by scanning.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator
 
 from .counting import ZpScalar, _assert_prime, state_budget_default
 from .elimination import partition_sum
-from .errors import BudgetExceededError, InputError
+from .errors import InputError
 from .graphs import Graph, Multigraph, PartiallyLabelledGraph
 
 EXPLICIT_VALIDATION_VERTICES = 20
 CLIQUE_CHECK_BOUND = 12
-LITERAL_PREFIX_CAP = 300_000
 
 # A pinned spin instance is a multigraph plus a partial map to literal spins
 # {0,1}; structurally identical to a partially labelled graph.
@@ -289,29 +287,22 @@ class GadgetVector:
 
 def build_gadget_graph(kv: GadgetVector) -> tuple[PartiallyLabelledGraph, int, int]:
     """Assemble the explicit multigraph: returns (pinned graph, x, y) with
-    x = 0 free and y = 1 pinned to spin 1."""
-    pairs: list[tuple[int, int]] = [(0, 1)] * kv.k0
-    cursor = 2
-    for kind, s, count in kv.components():
+    x = 0 free and y = 1 pinned to spin 1.
+
+    Each copy of a component is glued at its vertex 0 to x; its other
+    vertices take the next fresh ids, the parallel bundle's partner first.
+    """
+    pairs: list[tuple[int, int]] = []
+    cursor = 1
+    for kind, s, count in [("parallel", kv.k0, 1), *kv.components()]:
+        if count == 0:
+            continue
+        part, _ = _component_graph(kind, s)
         for _ in range(count):
-            if kind == "clique":
-                fresh = list(range(cursor, cursor + s - 1))
-                for a in fresh:
-                    pairs.append((0, a))
-                for i, a in enumerate(fresh):
-                    for b in fresh[i + 1 :]:
-                        pairs.append((a, b))
-                cursor += s - 1
-            elif kind == "p2":
-                pairs += [(0, cursor), (cursor, cursor + 1)]
-                cursor += 2
-            else:  # p3
-                pairs += [
-                    (0, cursor),
-                    (cursor, cursor + 1),
-                    (cursor + 1, cursor + 2),
-                ]
-                cursor += 3
+            glue = [0, *range(cursor, cursor + part.n - 1)]
+            for u, v, mult in part.edges:
+                pairs += [(glue[u], glue[v])] * mult
+            cursor += part.n - 1
     graph = Multigraph.make(cursor, pairs)
     return PartiallyLabelledGraph.make(graph, {1: 1}), 0, 1
 
@@ -360,19 +351,7 @@ def assemble_gadget(
 
 
 def _search_m_cap(p: int, max_m: int | None) -> int:
-    if max_m is not None:
-        cap = max_m
-    else:
-        raw = os.environ.get("SPIN_SEARCH_BOUND")
-        if raw is None:
-            cap = p + 1
-        else:
-            try:
-                cap = int(raw)
-            except ValueError:
-                raise InputError(
-                    f"SPIN_SEARCH_BOUND must be an integer, got {raw!r}"
-                )
+    cap = p + 1 if max_m is None else max_m
     if cap < 2:
         raise InputError("family size cap must be at least 2")
     return cap
@@ -406,7 +385,6 @@ class SearchOutcome:
     validated: bool
     max_m: int
     entry_cap: int
-    method: str
     status: str  # "found" | "none-within-bounds"
 
     def to_json(self) -> dict:
@@ -421,115 +399,49 @@ class SearchOutcome:
             "validated": self.validated,
             "max_m": self.max_m,
             "entry_cap": self.entry_cap,
-            "method": self.method,
         }
 
 
-def _close_subgroup(
-    gens: Sequence[int], rep: Callable[[int], int], p: int
-) -> frozenset[int]:
-    elems = {rep(1)}
-    frontier = [rep(1)]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = rep(x * g % p)
-            if y not in elems:
-                elems.add(y)
-                frontier.append(y)
-    return frozenset(elems)
-
-
-def _greedy_prefix(
+def _first_hit(
     raw: list[tuple[int, int]],
     lv: int,
     dlog: dict[int, int],
     p: int,
     cap: int,
 ) -> tuple[list[int], int] | None:
-    """First-hit inner counts (k_1..k_m) and k0 under the canonical order,
-    computed without enumeration.
+    """First-hit inner counts (k_1..k_m) and k0 in the canonical order.
 
-    Valid only with the full per-entry cap p-1, where the exponent range of
-    each usable component covers a whole cyclic subgroup; candidate targets
-    then live in the subgroup generated by the inner ratios, and first-hit
-    means: lexicographically least (k_m..k_1) admitting a completion, with
-    the least discrete log of the residual as k0.
+    With r_i = h1_i / a_i the success condition reads
+    gamma^k0 * prod r_i^k_i = lambda.  ``reach[j]`` holds every such
+    product over slot 0 (gamma^k0) and the inner slots before j, each
+    exponent at most ``cap``; a slot with a_i or h1_i = 0 stays at 0, since
+    one copy of it zeroes a half.  The first hit is the least (k_m..k_1)
+    whose residual lies in the reach of the slots below, with the least k0.
     """
-    m = len(raw)
-    coset_factors = list(dlog.keys())  # the powers of gamma (or just 1)
-
-    def rep(x: int) -> int:
-        return min(x * g % p for g in coset_factors)
-
-    usable = [a != 0 and h != 0 for a, h in raw]
-    ratio = [
-        h * pow(a, p - 2, p) % p if ok else None
-        for (a, h), ok in zip(raw, usable)
-    ]
-    # cumulative subgroups of the quotient achievable by slots 1..j
-    subgroups: list[frozenset[int]] = [frozenset({rep(1)})]
-    for j in range(m):
-        if usable[j]:
-            subgroups.append(
-                _close_subgroup([*subgroups[-1], ratio[j]], rep, p)
-            )
-        else:
-            subgroups.append(subgroups[-1])
-
-    need = rep(lv)
-    if need not in subgroups[m]:
-        return None
-    counts = [0] * m
-    residual = lv  # exact element whose coset is `need`
-    for j in range(m - 1, -1, -1):
-        if not usable[j]:
-            continue
-        r_inv = pow(ratio[j], p - 2, p)
-        cur = residual
-        for k in range(cap + 1):
-            if rep(cur) in subgroups[j]:
-                counts[j] = k
-                residual = cur
+    ratios = [h * pow(a, p - 2, p) % p if a and h else None for a, h in raw]
+    reach = [{x for x, e in dlog.items() if e <= cap}]
+    for r in ratios:
+        grown = set(reach[-1])
+        frontier = grown
+        for _ in range(cap if r is not None else 0):
+            # once a power of r adds nothing new, no later power can
+            frontier = {x * r % p for x in frontier} - grown
+            if not frontier:
                 break
-            cur = cur * r_inv % p
-        else:  # pragma: no cover - guarded by the subgroup membership test
-            return None
-    k0 = dlog.get(residual)
-    if k0 is None or k0 > cap:  # pragma: no cover - same guard
+            grown |= frontier
+        reach.append(grown)
+    if lv not in reach[-1]:
         return None
-    return counts, k0
-
-
-def _literal_prefix(
-    raw: list[tuple[int, int]],
-    lv: int,
-    dlog: dict[int, int],
-    p: int,
-    cap: int,
-) -> tuple[list[int], int] | None:
-    """Reference enumeration of inner prefixes in the canonical order."""
-    import itertools
-
-    m = len(raw)
-    if (cap + 1) ** m > LITERAL_PREFIX_CAP:
-        raise BudgetExceededError(
-            "literal prefix enumeration too large; use the default entry cap"
-        )
-    for outer in itertools.product(range(cap + 1), repeat=m):
-        counts = list(reversed(outer))  # outer[0] is k_m, counts[0] is k_1
-        z0r = z1r = 1
-        for (a, h1), k in zip(raw, counts):
-            if k:
-                z0r = z0r * pow(a, k, p) % p
-                z1r = z1r * pow(h1, k, p) % p
-        if z0r == 0 or z1r == 0:
+    counts = [0] * len(raw)
+    residual = lv
+    for j in range(len(raw) - 1, -1, -1):
+        if ratios[j] is None:
             continue
-        target = lv * z0r % p * pow(z1r, p - 2, p) % p
-        k0 = dlog.get(target)
-        if k0 is not None and k0 <= cap:
-            return counts, k0
-    return None
+        r_inv = pow(ratios[j], p - 2, p)
+        while residual not in reach[j]:
+            residual = residual * r_inv % p
+            counts[j] += 1
+    return counts, dlog[residual]
 
 
 def search_gadget(
@@ -543,10 +455,10 @@ def search_gadget(
     Enumeration order (canonical, documented): family size m ascending from
     2; within one m, vectors (k_0..k_m) are compared from the last
     coordinate down to k_0 — so k_m varies slowest and the parallel count
-    k_0 fastest.  With the default per-entry cap p-1 the first hit is
-    located through discrete logs and subgroup feasibility instead of
-    literal enumeration; the two strategies provably agree and are also
-    cross-tested.  A ``none-within-bounds`` outcome is a statement about the
+    k_0 fastest.  Every entry is at most ``entry_cap`` (default p-1).  The
+    first hit is located from the residues reachable by each prefix of
+    slots rather than by enumeration, and is cross-tested against the
+    literal scan.  A ``none-within-bounds`` outcome is a statement about the
     searched family only.
     """
     p = sp.p
@@ -558,8 +470,6 @@ def search_gadget(
     cap = entry_cap if entry_cap is not None else p - 1
     if cap < 0:
         raise InputError("entry cap must be non-negative")
-    full_cap = cap == p - 1
-    method = "subgroup-dlog" if full_cap else "literal"
 
     gv, lv = sp.gamma.value, sp.lam.value
     dlog = _gamma_dlog_table(gv, p)
@@ -569,11 +479,7 @@ def search_gadget(
             _halves_raw(kind, s, gv, lv, p)
             for kind, s in _inner_component_types(m)
         ]
-        hit = (
-            _greedy_prefix(raw, lv, dlog, p, cap)
-            if full_cap
-            else _literal_prefix(raw, lv, dlog, p, cap)
-        )
+        hit = _first_hit(raw, lv, dlog, p, cap)
         if hit is None:
             continue
         counts, k0 = hit
@@ -598,7 +504,6 @@ def search_gadget(
             validated=can_validate,
             max_m=cap_m,
             entry_cap=cap,
-            method=method,
             status="found",
         )
     return SearchOutcome(
@@ -609,41 +514,8 @@ def search_gadget(
         validated=False,
         max_m=cap_m,
         entry_cap=cap,
-        method=method,
         status="none-within-bounds",
     )
-
-
-def _search_literal_reference(
-    sp: SpinParams, *, max_m: int, entry_cap: int
-) -> GadgetVector | None:
-    """Plain triple-loop enumeration in the canonical order (test oracle)."""
-    import itertools
-
-    p = sp.p
-    gv, lv = sp.gamma.value, sp.lam.value
-    for m in range(2, max_m + 1):
-        raw = [
-            _halves_raw(kind, s, gv, lv, p)
-            for kind, s in _inner_component_types(m)
-        ]
-        for outer in itertools.product(range(entry_cap + 1), repeat=m):
-            counts = list(reversed(outer))
-            z0r = lv % p
-            z1r = 1
-            for (a, h1), k in zip(raw, counts):
-                z0r = z0r * pow(a, k, p) % p
-                z1r = z1r * pow(h1, k, p) % p
-            for k0 in range(entry_cap + 1):
-                z1 = z1r * pow(gv, k0, p) % p
-                if z0r == z1 and z0r != 0:
-                    return GadgetVector(
-                        k0=k0,
-                        clique_counts=tuple(counts[: m - 2]),
-                        k_p2=counts[m - 2],
-                        k_p3=counts[m - 1],
-                    )
-    return None
 
 
 # ---------------------------------------------------------------------------

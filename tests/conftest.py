@@ -13,6 +13,12 @@ import random
 from typing import Mapping, Sequence
 
 from modhom.graphs import BipartiteGraph, Graph
+from modhom.spin import (
+    GadgetVector,
+    SpinParams,
+    _halves_raw,
+    _inner_component_types,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +143,59 @@ def flat_spin(
         zeros = bits.count(0)
         total += pow(gamma, mono, p) * pow(lam, zeros, p)
     return total % p
+
+
+def flat_gadget_search(
+    sp: SpinParams, *, max_m: int, entry_cap: int
+) -> GadgetVector | None:
+    """Plain triple-loop enumeration in the canonical order (test oracle).
+
+    It shares only the closed-form component halves with the package; those
+    are checked against ``flat_spin`` on their explicit graphs.
+    """
+    p = sp.p
+    gv, lv = sp.gamma.value, sp.lam.value
+    for m in range(2, max_m + 1):
+        raw = [
+            _halves_raw(kind, s, gv, lv, p)
+            for kind, s in _inner_component_types(m)
+        ]
+        for outer in itertools.product(range(entry_cap + 1), repeat=m):
+            counts = list(reversed(outer))
+            z0r = lv % p
+            z1r = 1
+            for (a, h1), k in zip(raw, counts):
+                z0r = z0r * pow(a, k, p) % p
+                z1r = z1r * pow(h1, k, p) % p
+            for k0 in range(entry_cap + 1):
+                z1 = z1r * pow(gv, k0, p) % p
+                if z0r == z1 and z0r != 0:
+                    return GadgetVector(
+                        k0=k0,
+                        clique_counts=tuple(counts[: m - 2]),
+                        k_p2=counts[m - 2],
+                        k_p3=counts[m - 1],
+                    )
+    return None
+
+
+def flat_hom_sequence(
+    g: Graph,
+    h: Graph,
+    order: Sequence[int],
+    pins: Mapping[int, int] | None = None,
+) -> list[dict[int, int]]:
+    """Every edge-preserving map that respects the pins, in lexicographic
+    order of the images of ``order`` (the unpinned vertices): itertools.product
+    over V(H) per vertex, kept when every edge lands on an edge."""
+    adj = {(a, b) for a, b in h.edges} | {(b, a) for a, b in h.edges}
+    pins = dict(pins or {})
+    out = []
+    for img in itertools.product(range(h.n), repeat=len(order)):
+        hom = {**pins, **dict(zip(order, img))}
+        if all((hom[u], hom[v]) in adj for u, v in g.edges):
+            out.append(hom)
+    return out
 
 
 def wbis_census(g: BipartiteGraph) -> dict[tuple[int, int], int]:

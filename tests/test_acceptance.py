@@ -12,6 +12,9 @@ default runs (see ``addopts``); run it with ``pytest -m slow``.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import random
 import time
 
@@ -33,6 +36,7 @@ from conftest import (
     side_sum_wbis,
     wbis_census,
 )
+from modhom.cli import main
 from modhom.counting import (
     count_homs,
     find_distinguisher,
@@ -446,14 +450,33 @@ def test_criterion_11_vector_algebra_and_distinguisher_search():
     assert exhausted == [], exhausted
 
 
+def _sweep_csv_digest(bound: int) -> str:
+    """SHA-256 of the stdout of ``modhom spin search --sweep p`` for every
+    prime p below ``bound``, concatenated in ascending order."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for p in primerange(2, bound):
+            assert main(["spin", "search", "--sweep", str(p)]) == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def test_search_sweep_csv_is_stable_below_30():
+    """The sweep's witnesses and halves for every prime below 30, pinned
+    byte for byte (the slow test below pins every prime below 100)."""
+    assert _sweep_csv_digest(30) == (
+        "3dbf78f3bd5f39f41a7e9edd55817b2fed7e9c16969d05dd281b3d408b1aafc6"
+    )
+
+
 @pytest.mark.slow
 def test_full_search_sweep_for_primes_below_100():
     """Every qualifying (gamma, lambda) pair for every prime below 100 gets a
     witness; the historically awkward corner (p=41, gamma=18, lambda=6) is
-    pinned to its 8-vertex witness to keep the outcome visible.
+    pinned to its 8-vertex witness to keep the outcome visible, and the CLI
+    sweep's CSV over the same primes is pinned byte for byte.
 
-    Runs in ~15 s but is excluded from default runs; invoke via
-    ``pytest -m slow``.
+    Runs in about 30 s on a 2-vCPU machine but is excluded
+    from default runs; invoke via ``pytest -m slow``.
     """
     special = None
     for p in primerange(3, 100):
@@ -477,3 +500,6 @@ def test_full_search_sweep_for_primes_below_100():
     assert special.found.total_vertices() == 8
     assert special.validated
     assert special.z0 == special.z1 == zp(26, 41)
+    assert _sweep_csv_digest(100) == (
+        "fdc973c489dc191094505cd0d1a75941f5144be4fef0e92fe06b919f939da43e"
+    )

@@ -191,6 +191,18 @@ def test_spin_search_p41(capsys):
     assert doc["validated"] is True
 
 
+def test_spin_search_with_entry_and_family_caps(capsys):
+    doc = run_json(
+        capsys,
+        "spin", "search", "--p", "11", "--gamma", "5", "--lambda", "6",
+        "--entry-cap", "8", "--max-m", "7",
+    )
+    assert doc["result"] == "found"
+    assert doc["found"]["entries"] == [3, 0, 0, 0, 1, 0, 0]
+    assert (doc["entry_cap"], doc["max_m"]) == (8, 7)
+    assert doc["z0"] == doc["z1"] != 0
+
+
 def test_spin_search_respects_config_cap(capsys, tmp_path):
     conf = tmp_path / "conf.json"
     conf.write_text('{"search_m_cap": 5}')

@@ -14,7 +14,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import flat_hom_count, rand_graph, rand_tree
+from conftest import flat_hom_count, flat_hom_sequence, rand_graph, rand_tree
 from modhom.counting import (
     PRIME_TEST_BOUND,
     HomCount,
@@ -219,6 +219,29 @@ def test_enumerate_homs_is_the_full_set():
     for m in maps:
         for u, v in g.edges:
             assert h.has_edge(m[u], m[v])
+
+
+def test_enumerate_homs_order_matches_flat_sequence():
+    """Free vertices are decided by descending degree (ties by id), each
+    trying its images in ascending order, so the maps come out in the
+    lexicographic order of those images."""
+    rng = random.Random(RNG_SEED + 7)
+    for _ in range(150):
+        g = rand_graph(rng, rng.randint(1, 5), 0.4)
+        h = rand_graph(rng, rng.randint(1, 4), 0.5)
+        marked = rng.sample(range(g.n), rng.randint(0, min(2, g.n)))
+        pins = {v: rng.randrange(h.n) for v in marked}
+        free = sorted(
+            (v for v in range(g.n) if v not in pins),
+            key=lambda v: (-g.degree(v), v),
+        )
+        got = list(enumerate_homs(PartiallyLabelledGraph.make(g, pins), h))
+        assert got == flat_hom_sequence(g, h, free, pins)
+
+
+def test_enumerate_homs_on_a_long_path():
+    """Two thousand free vertices deep, and no recursion limit in the way."""
+    assert len(list(enumerate_homs(path_graph(2000), path_graph(2)))) == 2
 
 
 def test_state_budget_guard():

@@ -16,7 +16,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import flat_spin
+from conftest import flat_gadget_search, flat_spin
 from modhom.counting import zp
 from modhom.errors import InputError
 from modhom.graphs import Graph, Multigraph, PartiallyLabelledGraph
@@ -33,7 +33,6 @@ from modhom.spin import (
     search_sweep,
     z_spin,
 )
-from modhom.spin import _search_literal_reference  # white-box cross-check
 
 RNG_SEED = 0x5EED05
 
@@ -199,6 +198,19 @@ def test_halves_against_flat_oracle_via_single_component_gadgets():
             assert (z0.value, z1.value) == (flat0, flat1)
 
 
+def test_gadget_graph_vertex_ids():
+    """x = 0, the pinned partner y = 1, then each copy's fresh vertices in
+    slot order: K2, K3, the three-path piece, the four-path piece."""
+    graph, x, y = build_gadget_graph(GadgetVector(2, (1, 1), 1, 1))
+    assert (x, y) == (0, 1)
+    assert graph.pin_map == {1: 1}
+    assert graph.base.n == 10
+    assert graph.base.edges == (
+        (0, 1, 2), (0, 2, 1), (0, 3, 1), (0, 4, 1), (0, 5, 1), (0, 7, 1),
+        (3, 4, 1), (5, 6, 1), (7, 8, 1), (8, 9, 1),
+    )
+
+
 def test_vector_bookkeeping():
     kv = GadgetVector(2, (2, 0, 0, 1), 0, 0)
     assert kv.m == 6
@@ -218,7 +230,6 @@ def test_search_worked_example():
     assert out.found is not None and out.status == "found"
     assert out.found.entries() == (2, 0, 0)
     assert out.z0 == out.z1 == zp(4, 5)
-    assert out.method == "subgroup-dlog"
     assert out.validated
     assert out.to_json()["result"] == "found"
 
@@ -239,16 +250,26 @@ def test_search_is_deterministic():
 
 
 def test_search_agrees_with_literal_reference():
-    """The subgroup/dlog fast path must produce exactly the same first hit
-    as plain enumeration in canonical order."""
-    for p in (3, 5, 7):
+    """The reach-set search must produce exactly the same first hit as
+    plain enumeration in canonical order, at the full entry cap and at
+    every smaller one."""
+    cases = [(p, p + 1, p - 1) for p in (3, 5, 7)]
+    cases += [
+        (p, max_m, cap)
+        for p in (5, 7)
+        for cap in range(p - 1)
+        for max_m in (2, 3, 4)
+    ]
+    for p, max_m, cap in cases:
         for gamma in range(p):
             if pow(gamma, 2, p) == 1:
                 continue
             for lam in range(1, p):
-                fast = search_gadget(sp(gamma, lam, p))
-                slow = _search_literal_reference(
-                    sp(gamma, lam, p), max_m=p + 1, entry_cap=p - 1
+                fast = search_gadget(
+                    sp(gamma, lam, p), max_m=max_m, entry_cap=cap
+                )
+                slow = flat_gadget_search(
+                    sp(gamma, lam, p), max_m=max_m, entry_cap=cap
                 )
                 if fast.found:
                     assert slow is not None
@@ -256,11 +277,19 @@ def test_search_agrees_with_literal_reference():
                 else:
                     assert slow is None
 
+    # Entries 0..8 over a family of size 7 give 9^7 (about 4.8 million)
+    # prefixes at m = 7 alone; the search never enumerates them, and the
+    # oracle, which stops at its first hit, agrees.
+    out = search_gadget(sp(5, 6, 11), max_m=7, entry_cap=8)
+    assert out.found and out.found.entries() == (3, 0, 0, 0, 1, 0, 0)
+    slow = flat_gadget_search(sp(5, 6, 11), max_m=7, entry_cap=8)
+    assert slow is not None and slow.entries() == out.found.entries()
+
 
 def test_search_literal_spot_check_p11():
     for gamma, lam in [(2, 7), (6, 9), (7, 10)]:
         fast = search_gadget(sp(gamma, lam, 11))
-        slow = _search_literal_reference(
+        slow = flat_gadget_search(
             sp(gamma, lam, 11), max_m=4, entry_cap=10
         )
         if slow is not None:
@@ -289,16 +318,9 @@ def test_search_respects_family_size_cap():
     assert out.max_m == 5
 
 
-def test_search_env_bound(monkeypatch):
-    monkeypatch.setenv("SPIN_SEARCH_BOUND", "5")
-    out = search_gadget(sp(18, 6, 41))
-    assert not out.found
-    monkeypatch.setenv("SPIN_SEARCH_BOUND", "1")
+def test_search_rejects_family_cap_below_two():
     with pytest.raises(InputError):
-        search_gadget(sp(18, 6, 41))
-    monkeypatch.setenv("SPIN_SEARCH_BOUND", "soon")
-    with pytest.raises(InputError):
-        search_gadget(sp(18, 6, 41))
+        search_gadget(sp(18, 6, 41), max_m=1)
 
 
 def test_search_p41_gamma18_lambda6_has_a_witness():
