@@ -2,7 +2,8 @@
 
 One executable, one subcommand per operation family, JSON on stdout with
 sorted keys (the atlas doubles as a golden file, so byte stability matters).
-Exit codes: 0 success, 1 input/file errors, 2 exceeded budgets.
+Exit codes: 0 success, 1 input/file errors or a failed verification, 2
+exceeded budgets.
 """
 
 from __future__ import annotations
@@ -237,62 +238,54 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         g = _read(args.source, "bipartite")
         h = _read(args.target, "simple")
         report = verify_wbis_to_homs(g, h, args.p)
-        _emit(
-            {
-                "instance": {
-                    "source": args.source,
-                    "target": args.target,
-                    "p": args.p,
-                },
-                "lhs": report.lhs.value,
-                "rhs": report.rhs.value,
-                "ok": report.ok,
-                "detail": report.to_json(),
-            }
-        )
+        out = {
+            "instance": {
+                "source": args.source,
+                "target": args.target,
+                "p": args.p,
+            },
+            "lhs": report.lhs.value,
+            "rhs": report.rhs.value,
+            "ok": report.ok,
+            "detail": report.to_json(),
+        }
     elif kind == "sat-to-wbis":
         phi = parse_dimacs_cnf(_read_text(args.cnf))
         w = WbisWeights.of(args.lambda_left, args.lambda_right, args.p)
         report = verify_sat_reduction(phi, w)
         rhs = report.K * ZpScalar.of(report.sat, args.p)
-        _emit(
-            {
-                "instance": {
-                    "cnf": args.cnf,
-                    "p": args.p,
-                    "lambda_left": w.lambda_l.value,
-                    "lambda_right": w.lambda_r.value,
-                },
-                "lhs": report.lhs.value,
-                "rhs": rhs.value,
-                "ok": report.ok,
-                "detail": report.to_json(),
-            }
-        )
+        out = {
+            "instance": {
+                "cnf": args.cnf,
+                "p": args.p,
+                "lambda_left": w.lambda_l.value,
+                "lambda_right": w.lambda_r.value,
+            },
+            "lhs": report.lhs.value,
+            "rhs": rhs.value,
+            "ok": report.ok,
+            "detail": report.to_json(),
+        }
     elif kind == "connbis":
         g = _read(args.source, "bipartite")
         _, report = connbis_transform(g)
-        _emit(
-            {
-                "instance": {"source": args.source},
-                "lhs": report.lhs,
-                "rhs": report.rhs,
-                "ok": report.ok,
-                "detail": report.to_json(),
-            }
-        )
+        out = {
+            "instance": {"source": args.source},
+            "lhs": report.lhs,
+            "rhs": report.rhs,
+            "ok": report.ok,
+            "detail": report.to_json(),
+        }
     elif kind == "p4":
         g = _read(args.source, "bipartite")
         report = verify_p4_identity(g)
-        _emit(
-            {
-                "instance": {"source": args.source},
-                "lhs": 2 * report.is_count,
-                "rhs": report.hom_count,
-                "ok": report.ok,
-                "detail": report.to_json(),
-            }
-        )
+        out = {
+            "instance": {"source": args.source},
+            "lhs": 2 * report.is_count,
+            "rhs": report.hom_count,
+            "ok": report.ok,
+            "detail": report.to_json(),
+        }
     else:  # reduction-congruence
         g = _read(args.source, "simple")
         h = _read(args.target, "simple")
@@ -300,20 +293,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         lhs = count_homs(g, h, args.p).residue
         rhs = count_homs(g, trace.result, args.p).residue
         assert lhs is not None and rhs is not None
-        _emit(
-            {
-                "instance": {
-                    "source": args.source,
-                    "target": args.target,
-                    "p": args.p,
-                },
-                "lhs": lhs.value,
-                "rhs": rhs.value,
-                "ok": lhs == rhs,
-                "detail": {"steps": len(trace.steps)},
-            }
-        )
-    return 0
+        out = {
+            "instance": {
+                "source": args.source,
+                "target": args.target,
+                "p": args.p,
+            },
+            "lhs": lhs.value,
+            "rhs": rhs.value,
+            "ok": lhs == rhs,
+            "detail": {"steps": len(trace.steps)},
+        }
+    _emit(out)
+    return 0 if out["ok"] else 1
 
 
 def _atlas_task(task: tuple[int, int, tuple[tuple[int, int], ...], int]) -> dict:

@@ -12,17 +12,18 @@ state budget raises :class:`BudgetExceededError` instead of running forever.
 from __future__ import annotations
 
 import itertools
-import os
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
-import numpy as np
-
 from .elimination import partition_sum
-from .errors import BudgetExceededError, InputError
+from .errors import (  # noqa: F401  (the budget helpers are re-exported)
+    STATE_BUDGET_DEFAULT,
+    BudgetExceededError,
+    InputError,
+    state_budget_default,
+    state_budget_scope,
+)
 from .graphs import (
     DistinguishedGraph,
     Graph,
@@ -31,7 +32,6 @@ from .graphs import (
     automorphism_group,
 )
 
-STATE_BUDGET_DEFAULT = 10**8
 TUPLE_BUDGET = 10**5
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
 # (Sorenson & Webster, Math. Comp. 2017).
@@ -160,38 +160,6 @@ class HomCount:
         if self.exact is not None and self.residue is not None:
             if self.exact % self.residue.modulus != self.residue.value:
                 raise InputError("exact count and residue disagree")
-
-
-# The CLI config's state budget while a command runs; see state_budget_scope.
-_STATE_BUDGET: ContextVar[int | None] = ContextVar("state_budget", default=None)
-
-
-@contextmanager
-def state_budget_scope(budget: int) -> Iterator[None]:
-    """Make ``budget`` the state budget of every partition sum in the block."""
-    token = _STATE_BUDGET.set(budget)
-    try:
-        yield
-    finally:
-        _STATE_BUDGET.reset(token)
-
-
-def state_budget_default() -> int:
-    """State budget of every partition sum: the innermost
-    :func:`state_budget_scope`, else ``MODHOM_BUDGET_STATES``, else 10^8."""
-    scoped = _STATE_BUDGET.get()
-    if scoped is not None:
-        return scoped
-    raw = os.environ.get("MODHOM_BUDGET_STATES")
-    if raw is None:
-        return STATE_BUDGET_DEFAULT
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InputError(f"MODHOM_BUDGET_STATES must be an integer, got {raw!r}")
-    if value <= 0:
-        raise InputError("MODHOM_BUDGET_STATES must be positive")
-    return value
 
 
 def _as_labelled(j: Graph | PartiallyLabelledGraph) -> PartiallyLabelledGraph:
@@ -336,6 +304,8 @@ def _mat_pow(a: list[list[int]], k: int, mod: int | None) -> list[list[int]]:
     integer loops; exact powers and larger moduli use Python ints in
     object arrays and numpy's object matrix product.
     """
+    import numpy as np
+
     n = len(a)
     bound = None if mod is None else n * (mod - 1) ** 2
     if bound is not None and bound < 1 << 31:

@@ -43,8 +43,6 @@ import heapq
 from math import prod
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
 from .errors import BudgetExceededError
 
 Matrix = Sequence[Sequence[int]]
@@ -252,6 +250,8 @@ def _eliminate(node: _Problem, order: list[int], mod: int | None) -> int:
     ``_INT64_MOD`` live in int64, reduced after every product; exact sums
     and larger moduli use Python ints in object arrays.
     """
+    import numpy as np
+
     const, _, w, dom, nbrs = node
     dtype = object if mod is None or mod > _INT64_MOD else np.int64
     pos = {v: i for i, v in enumerate(order)}

@@ -1,12 +1,22 @@
-"""Shared exception types.
+"""Shared exception types and the state budget.
 
 Two failure modes matter to callers: the input was malformed (reject it), or
 the instance was structurally fine but too large for the configured budget
 (the caller may retry with a bigger budget or a smaller instance).  The CLI
 maps them to exit codes 1 and 2 respectively.
+
+One state budget bounds the work of every engine: the table states of a
+partition sum and the placements of a symmetry search.
 """
 
 from __future__ import annotations
+
+import os
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Iterator
+
+STATE_BUDGET_DEFAULT = 10**8
 
 
 class ModhomError(Exception):
@@ -23,3 +33,35 @@ class BudgetExceededError(ModhomError, RuntimeError):
     This is a definitive "too big", never a wrong answer; nothing partial is
     returned.
     """
+
+
+# The CLI config's state budget while a command runs; see state_budget_scope.
+_STATE_BUDGET: ContextVar[int | None] = ContextVar("state_budget", default=None)
+
+
+@contextmanager
+def state_budget_scope(budget: int) -> Iterator[None]:
+    """Make ``budget`` the state budget of every engine run in the block."""
+    token = _STATE_BUDGET.set(budget)
+    try:
+        yield
+    finally:
+        _STATE_BUDGET.reset(token)
+
+
+def state_budget_default() -> int:
+    """State budget of every engine run: the innermost
+    :func:`state_budget_scope`, else ``MODHOM_BUDGET_STATES``, else 10^8."""
+    scoped = _STATE_BUDGET.get()
+    if scoped is not None:
+        return scoped
+    raw = os.environ.get("MODHOM_BUDGET_STATES")
+    if raw is None:
+        return STATE_BUDGET_DEFAULT
+    try:
+        value = int(raw)
+    except ValueError:
+        raise InputError(f"MODHOM_BUDGET_STATES must be an integer, got {raw!r}")
+    if value <= 0:
+        raise InputError("MODHOM_BUDGET_STATES must be positive")
+    return value

@@ -4,8 +4,8 @@ Vertices are dense integers ``0..n-1``.  Graph files are 1-indexed (DIMACS
 habit); conversion happens at the parsing boundary and nowhere else.
 
 Everything in this module is sized for desk-scale work: isomorphism and
-automorphism queries run a pruned permutation search with an explicit size
-bound (default 12 vertices) and raise :class:`BudgetExceededError` beyond it
+automorphism queries run a pruned permutation search whose placements count
+against the state budget and raise :class:`BudgetExceededError` past it
 rather than silently grinding.  All values are immutable after construction,
 so every function here is safe to call concurrently.
 
@@ -33,16 +33,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import BudgetExceededError, InputError
-
-ISO_BOUND_DEFAULT = 12
+from .errors import BudgetExceededError, InputError, state_budget_default
 
 # Largest vertex count a graph file's header may announce; parsing
 # allocates per announced vertex, so a short header must not claim billions.
 HEADER_VERTEX_LIMIT = 10**6
 
-# Safety valve for automorphism listing: the vertex bound alone does not stop
-# e.g. K_12 from having 12! automorphisms.
+# Most elements automorphism_group keeps in memory: the state budget bounds
+# the search's placements, which a long list can stay well within.
 AUT_LIST_CAP = 1_000_000
 
 
@@ -697,11 +695,16 @@ def _iter_isomorphisms(
     it moves in a class can no longer reach a multiple of p.  Pruning only
     drops partial maps that no such element extends, so the rest come out
     in the same order.
+
+    Each candidate tried is a placement; past the state budget (read once
+    per search) the search raises :class:`BudgetExceededError`.
     """
     n = a.n
     if n == 0:
         yield ()
         return
+    budget = state_budget_default()
+    placements = 0
     adj_a = adjacency_masks(a)
     adj_b = adj_a if b is a else adjacency_masks(b)
     class_mask: dict[int, int] = {}
@@ -713,7 +716,7 @@ def _iter_isomorphisms(
             mask if mask.bit_count() >= order else 1 << v
             for v, mask in enumerate(same_class)
         ]
-    earlier = [[u for u in range(v) if adj_a[v] >> u & 1] for v in range(n)]
+    earlier = [[u for u in a._adj[v] if u < v] for v in range(n)]
 
     mapping = [0] * n
     candidates = [0] * n  # level v: untried images for v
@@ -739,6 +742,13 @@ def _iter_isomorphisms(
                 moved[colour_a[v]] -= added_moved[v]
                 free[colour_a[v]] -= added_free[v]
             continue
+        placements += 1
+        if placements > budget:
+            raise BudgetExceededError(
+                f"symmetry search on {n} vertices made {placements} placements "
+                f"> state budget {budget}; a larger state budget may suffice "
+                f"(MODHOM_BUDGET_STATES, or state_budget in the CLI config)"
+            )
         low = cand & -cand
         candidates[v] = cand ^ low
         w = low.bit_length() - 1
@@ -783,10 +793,7 @@ def _as_distinguished(g: Graph | DistinguishedGraph) -> DistinguishedGraph:
 
 
 def are_isomorphic(
-    a: Graph | DistinguishedGraph,
-    b: Graph | DistinguishedGraph,
-    *,
-    bound: int = ISO_BOUND_DEFAULT,
+    a: Graph | DistinguishedGraph, b: Graph | DistinguishedGraph
 ) -> bool:
     """Mark-respecting isomorphism test by the automorphism search, run
     from ``a`` to ``b``.
@@ -796,17 +803,13 @@ def are_isomorphic(
     the same positions, so colour refinement runs on both graphs together,
     seeded with each vertex's degree and mark positions, and the search
     only maps vertices within a colour class.  Raises on mark-arity
-    mismatch, and raises :class:`BudgetExceededError` above ``bound``
-    vertices.
+    mismatch, and raises :class:`BudgetExceededError` when the search
+    outgrows the state budget.
     """
     da, db = _as_distinguished(a), _as_distinguished(b)
     if len(da.marks) != len(db.marks):
         raise InputError("mark tuples must have equal length")
     ga, gb = da.base, db.base
-    if max(ga.n, gb.n) > bound:
-        raise BudgetExceededError(
-            f"size limit exceeded: {max(ga.n, gb.n)} > {bound} vertices"
-        )
     if ga.n != gb.n or ga.m != gb.m:
         return False
     if ga.degree_sequence() != gb.degree_sequence():
@@ -847,22 +850,18 @@ def iter_automorphisms(
             yield Permutation(images)
 
 
-def automorphism_group(
-    g: Graph, *, bound: int = ISO_BOUND_DEFAULT, cap: int = AUT_LIST_CAP
-) -> list[Permutation]:
+def automorphism_group(g: Graph) -> list[Permutation]:
     """The full automorphism group as an explicit list (identity included).
 
     Entries come out in lexicographic order of image arrays; each carries its
-    order via :attr:`Permutation.order`.  Raises beyond ``bound`` vertices or
-    ``cap`` listed elements.
+    order via :attr:`Permutation.order`.  Raises past the state budget or
+    beyond :data:`AUT_LIST_CAP` listed elements.
     """
-    if g.n > bound:
-        raise BudgetExceededError(f"size limit exceeded: {g.n} > {bound} vertices")
     out: list[Permutation] = []
     for perm in iter_automorphisms(g):
         out.append(perm)
-        if len(out) > cap:
-            raise BudgetExceededError(f"automorphism list exceeds cap {cap}")
+        if len(out) > AUT_LIST_CAP:
+            raise BudgetExceededError(f"automorphism list exceeds cap {AUT_LIST_CAP}")
     return out
 
 

@@ -11,9 +11,10 @@ p, so the labels of every reduced graph are deterministic; it visits only
 partial maps that can still become an element of order p.  Its answer is
 checked against |Aut| by Cauchy's theorem (an element of order p exists iff
 p divides it).  On forests of every size |Aut| comes exactly from canonical
-codes, and on other graphs of at most 8 vertices from the listed group.
-Above 8 vertices a known |Aut| that p does not divide answers None without
-searching.
+codes, and on other graphs of at most 8 vertices from the listed group;
+larger graphs with cycles go unchecked.  Above 8 vertices a known |Aut|
+that p does not divide answers None without searching.  No vertex count
+limits the search: its placements count against the state budget.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from typing import Literal
 
 from .errors import BudgetExceededError, InputError
 from .graphs import (
-    ISO_BOUND_DEFAULT,
     Graph,
     Permutation,
     are_isomorphic,
@@ -37,9 +37,7 @@ FULL_GROUP_BOUND = 8
 ALL_PATHS_BOUND = 10
 
 
-def find_order_p_automorphism(
-    h: Graph, p: int, *, bound: int = ISO_BOUND_DEFAULT
-) -> Permutation | None:
+def find_order_p_automorphism(h: Graph, p: int) -> Permutation | None:
     """First (lex by images) automorphism of order exactly p, or None.
 
     The search lists only elements of order p (see
@@ -49,18 +47,15 @@ def find_order_p_automorphism(
     group on any other graph of at most 8 vertices.  Up to 8 vertices the
     search always runs and the check is two-sided.  Above that a known
     order that p does not divide answers None at once, and an empty search
-    where p divides it fails the check.
+    where p divides it fails the check.  Past the state budget the search
+    raises :class:`BudgetExceededError`.
     """
     from .counting import _assert_prime
 
     _assert_prime(p)
-    if h.n > bound:
-        raise BudgetExceededError(
-            f"automorphism search on {h.n} vertices is beyond bound {bound}"
-        )
     group_order = forest_automorphism_count(h)
     if group_order is None and h.n <= FULL_GROUP_BOUND:
-        group_order = len(automorphism_group(h, bound=bound))
+        group_order = len(automorphism_group(h))
     if group_order is not None and group_order % p and h.n > FULL_GROUP_BOUND:
         return None
     found = next(iter_automorphisms(h, order=p), None)

@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
 from .counting import ZpScalar, _assert_prime, state_budget_default
 from .elimination import _INT64_MOD, partition_sum
 from .errors import BudgetExceededError, InputError
@@ -156,10 +154,6 @@ def z_wbis_subsets(g: BipartiteGraph, lambda_l: int, lambda_r: int) -> int:
     )
 
 
-_M1 = np.uint64(0x5555555555555555)
-_M2 = np.uint64(0x3333333333333333)
-_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-_H01 = np.uint64(0x0101010101010101)
 # (high, low) pairs of blocked sets the side-trace sweep takes per numpy step.
 _SWEEP_CELLS = 1 << 16
 
@@ -167,10 +161,16 @@ _SWEEP_CELLS = 1 << 16
 def _popcount64(x: np.ndarray) -> np.ndarray:
     """Set bits of each uint64, by the SWAR sums of bit pairs, nibbles and
     bytes (the last product wraps mod 2^64 and keeps the byte sum on top)."""
-    x = x - ((x >> np.uint64(1)) & _M1)
-    x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
-    x = (x + (x >> np.uint64(4))) & _M4
-    return (x * _H01) >> np.uint64(56)
+    import numpy as np
+
+    m1 = np.uint64(0x5555555555555555)
+    m2 = np.uint64(0x3333333333333333)
+    m4 = np.uint64(0x0F0F0F0F0F0F0F0F)
+    h01 = np.uint64(0x0101010101010101)
+    x = x - ((x >> np.uint64(1)) & m1)
+    x = (x & m2) + ((x >> np.uint64(2)) & m2)
+    x = (x + (x >> np.uint64(4))) & m4
+    return (x * h01) >> np.uint64(56)
 
 
 def z_wbis_flat(
@@ -193,6 +193,8 @@ def z_wbis_flat(
     leaves at most 729 × ~2000 pairs of the 4096 × 4096.  Residues live in
     int64 up to ``elimination._INT64_MOD`` and in Python ints above it.
     """
+    import numpy as np
+
     p = w.p
     if side not in ("auto", "left", "right"):
         raise InputError(f"unknown side {side!r}")

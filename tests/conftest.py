@@ -329,6 +329,114 @@ def rand_tree(rng: random.Random, n: int) -> Graph:
 
 
 # ---------------------------------------------------------------------------
+# tree reduction oracle
+
+
+def _flat_tree_adjacency(t: Graph) -> dict[int, set[int]]:
+    adj: dict[int, set[int]] = {v: set() for v in range(t.n)}
+    for u, v in t.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def _flat_distances(adj: dict[int, set[int]], s: int) -> dict[int, int]:
+    dist = {s: 0}
+    queue = [s]
+    for v in queue:
+        for w in adj[v]:
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
+def _flat_branches(
+    adj: dict[int, set[int]], root: int, avoid: int | None
+) -> tuple[dict[int, int | None], dict[int, str]]:
+    """Parent and nested-parenthesis code of every vertex of the tree hanging
+    from ``root``, not crossing into ``avoid``: a vertex's code is its
+    children's codes, sorted, inside one pair of parentheses."""
+    parent: dict[int, int | None] = {root: avoid}
+    order = [root]
+    for v in order:
+        for w in adj[v]:
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    code: dict[int, str] = {}
+    for v in reversed(order):
+        kids = sorted(code[w] for w in adj[v] if w != parent[v])
+        code[v] = "(" + "".join(kids) + ")"
+    return parent, code
+
+
+def _flat_tree_state(adj: dict[int, set[int]]):
+    """(roots, parent, code) of a non-empty tree: its centre, or the two
+    ends of its central edge, each rooted away from the other."""
+    dist = {v: _flat_distances(adj, v) for v in adj}
+    assert all(len(d) == len(adj) for d in dist.values()), "not connected"
+    ecc = {v: max(d.values()) for v, d in dist.items()}
+    centres = sorted(v for v in adj if ecc[v] == min(ecc.values()))
+    parent: dict[int, int | None] = {}
+    code: dict[int, str] = {}
+    for c in centres:
+        other = next((x for x in centres if x != c), None)
+        half_parent, half_code = _flat_branches(adj, c, other)
+        parent.update(half_parent)
+        code.update(half_code)
+    return centres, parent, code
+
+
+def _flat_tree_code_of(adj: dict[int, set[int]]) -> str:
+    if not adj:
+        return ""
+    centres, _, code = _flat_tree_state(adj)
+    return "[" + "".join(sorted(code[c] for c in centres)) + "]"
+
+
+def flat_tree_code(t: Graph) -> str:
+    """Canonical code of a tree ("" for the empty graph): equal codes mean
+    isomorphic trees."""
+    return _flat_tree_code_of(_flat_tree_adjacency(t))
+
+
+def flat_tree_reduced_code(t: Graph, p: int) -> str:
+    """Canonical code of the order-p reduced form of the tree ``t``.
+
+    Roots the tree at its centre and, while some vertex has p isomorphic
+    child branches, deletes p of them, recomputing the centre each time.  At
+    p = 2, isomorphic halves at a central edge swap with nothing fixed, so
+    the tree reduces to the empty graph.
+    """
+    adj = _flat_tree_adjacency(t)
+    while adj:
+        centres, parent, code = _flat_tree_state(adj)
+        if p == 2 and len(centres) == 2 and code[centres[0]] == code[centres[1]]:
+            return ""
+        doomed: list[int] = []
+        for v in adj:
+            groups: dict[str, list[int]] = {}
+            for w in adj[v]:
+                if w != parent[v]:
+                    groups.setdefault(code[w], []).append(w)
+            doomed = next((ws[:p] for ws in groups.values() if len(ws) >= p), [])
+            if doomed:
+                break
+        if not doomed:
+            break
+        gone = set()
+        for v in adj:
+            x = v  # climb towards the centre, looking for a doomed branch
+            while x not in doomed and x not in centres:
+                x = parent[x]
+            if x in doomed:
+                gone.add(v)
+        adj = {v: ws - gone for v, ws in adj.items() if v not in gone}
+    return _flat_tree_code_of(adj)
+
+
+# ---------------------------------------------------------------------------
 # named builders
 
 

@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modhom import cli
 from modhom.cli import RunConfig, main
 from modhom.counting import state_budget_default
+from modhom.crossred import P4Report
 from modhom.errors import InputError
 from modhom.graphs import parse_graph
 from modhom.wbis import parse_dimacs_cnf
@@ -286,6 +288,17 @@ def test_verify_wbis_to_homs(capsys, files, tmp_path):
     assert doc["ok"] is True and doc["lhs"] == doc["rhs"]
 
 
+def test_verify_failure_exits_one(capsys, files, monkeypatch):
+    """A failed identity still prints its report, and exits 1."""
+    monkeypatch.setattr(
+        cli, "verify_p4_identity", lambda g: P4Report(3, 5, False, "counts-only")
+    )
+    code, out = run(capsys, "verify", "p4", files["k2.bip"])
+    assert code == 1
+    assert '"ok": false' in out
+    assert json.loads(out)["lhs"] == 6
+
+
 # ---------------------------------------------------------------------------
 # atlas
 
@@ -306,6 +319,14 @@ def test_atlas_parallel_is_deterministic(capsys, tmp_path):
     assert main(["atlas", "--max-n", "6", "--jobs", "1", "--out", str(one)]) == 0
     assert main(["atlas", "--max-n", "6", "--jobs", "2", "--out", str(two)]) == 0
     assert one.read_bytes() == two.read_bytes()
+
+
+def test_atlas_beyond_twelve_vertices(capsys):
+    doc = run_json(capsys, "atlas", "--max-n", "13", "--primes", "2")
+    rows = doc["rows"]
+    assert len(rows) == 2288
+    assert sum(row["n"] == 13 for row in rows) == 1301
+    assert {row["verdict"] for row in rows} <= {"PolyTime", "Hard"}
 
 
 def test_atlas_rows_are_sound(capsys):

@@ -7,13 +7,18 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     check_certificate_path,
     double_star,
     flat_hom_count,
+    flat_tree_code,
+    flat_tree_reduced_code,
     forest_of_stars,
     rand_graph,
+    rand_tree,
     simple_paths,
     spider,
 )
@@ -238,6 +243,43 @@ def test_tree_frontier_matches_star_shape():
             assert (cls.verdict == "PolyTime") == forest_of_stars(
                 cls.reduced.result
             )
+
+
+@st.composite
+def trees_13_to_40(draw) -> Graph:
+    """A Pruefer tree, or 2-6 copies of one random rooted tree hung from a
+    hub plus a random tail, on 13-40 vertices, randomly relabelled."""
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        return rand_tree(rng, draw(st.integers(13, 40)))
+    copies = draw(st.integers(2, 6))
+    size = draw(st.integers(1, 39 // copies))
+    glued = 1 + copies * size
+    tail = draw(st.integers(max(0, 13 - glued), 40 - glued))
+    branch = rand_tree(rng, size)
+    edges = []
+    for c in range(copies):
+        base = 1 + c * size
+        edges.append((0, base))  # the copy's vertex 0 is its root
+        edges += [(base + u, base + v) for u, v in branch.edges]
+    if tail:
+        anchor = rng.randrange(glued)
+        edges.append((anchor, glued))
+        edges += [(glued + u, glued + v) for u, v in rand_tree(rng, tail).edges]
+    images = list(range(glued + tail))
+    rng.shuffle(images)
+    return Graph.make(glued + tail, edges).relabel(images)
+
+
+@given(trees_13_to_40(), st.sampled_from((2, 3, 5)))
+@settings(max_examples=150, deadline=None)
+def test_classify_matches_a_naive_reduction_beyond_twelve_vertices(t, p):
+    cls = classify(t, p)
+    reduced = cls.reduced.result
+    assert flat_tree_code(reduced) == flat_tree_reduced_code(t, p)
+    assert cls.verdict == ("PolyTime" if forest_of_stars(reduced) else "Hard")
+    if cls.verdict == "Hard":
+        check_certificate_path(reduced, cls.certificate, p)
 
 
 def test_classification_json_round_trip_keys():

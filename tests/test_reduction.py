@@ -8,7 +8,7 @@ import pytest
 
 from conftest import flat_hom_count, rand_graph, spider
 from modhom.counting import count_homs
-from modhom.errors import BudgetExceededError, InputError
+from modhom.errors import BudgetExceededError, InputError, state_budget_scope
 from modhom.graphs import (
     Graph,
     Permutation,
@@ -41,11 +41,11 @@ def test_order_p_element_detection():
 
 
 def test_order_p_element_beyond_group_enumeration():
-    # 10 vertices: past the full-group bound, found lazily
-    rho = find_order_p_automorphism(star_graph(9), 2)
-    assert rho is not None and rho.order == 2
-    with pytest.raises(BudgetExceededError):
-        find_order_p_automorphism(star_graph(12), 2)
+    # past the full-group bound, found lazily, at any vertex count
+    for leaves in (9, 12):
+        rho = find_order_p_automorphism(star_graph(leaves), 2)
+        assert rho is not None and rho.order == 2
+        assert rho.is_automorphism_of(star_graph(leaves))
 
 
 def test_order_p_element_exists_iff_p_divides_forest_group_order():
@@ -101,9 +101,23 @@ def test_spurious_element_at_full_group_size_fails_the_cauchy_check(monkeypatch)
         find_order_p_automorphism(p3, 3)
 
 
-def test_refusal_names_the_size_and_the_bound():
-    with pytest.raises(BudgetExceededError, match=r"2400 vertices.*bound 12"):
-        find_order_p_automorphism(path_graph(2400), 2)
+def test_long_path_has_its_reflection():
+    rho = find_order_p_automorphism(path_graph(300), 2)
+    assert rho is not None and rho.images == tuple(range(299, -1, -1))
+
+
+def hypercube(d: int) -> Graph:
+    edges = [(v, v | 1 << i) for v in range(1 << d) for i in range(d)]
+    return Graph.make(1 << d, [(u, v) for u, v in edges if u != v])
+
+
+def test_search_refusal_names_the_state_budget():
+    """The 5-cube has no element of order 7, and its full search makes far
+    more than 1000 placements; the refusal uses the engine's wording."""
+    with state_budget_scope(1000):
+        with pytest.raises(BudgetExceededError, match="state budget 1000;"):
+            find_order_p_automorphism(hypercube(5), 7)
+    assert find_order_p_automorphism(hypercube(5), 7) is None
 
 
 def test_order_p_search_rejects_a_composite_modulus():
