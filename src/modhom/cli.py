@@ -15,13 +15,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from .counting import (
-    ZpScalar,
-    count_homs,
-    is_prime,
-    state_budget_default,
-    state_budget_scope,
-)
+from .counting import ZpScalar, count_homs, is_prime
 from .crossred import (
     connbis_transform,
     count_homs_mod_composite,
@@ -29,7 +23,12 @@ from .crossred import (
     verify_wbis_to_homs,
 )
 from .dichotomy import classify
-from .errors import BudgetExceededError, InputError
+from .errors import (
+    BudgetExceededError,
+    InputError,
+    state_budget_default,
+    state_budget_scope,
+)
 from .graphs import Graph, nonisomorphic_trees, parse_graph
 from .reduction import reduced_form
 from .spin import SpinParams, classify_spin, search_gadget, search_sweep, z_spin

@@ -5,8 +5,9 @@ source with domain V(H) and edge matrix A(H), evaluated by the variable-
 elimination engine in :mod:`modhom.elimination`; the subdivision-aware
 counter uses the same engine with A(H)^ℓ mod p on an edge of length ℓ.
 Walk counts go through arbitrary-precision adjacency powers.  Budgets are
-explicit — an instance that needs more elimination table states than the
-state budget raises :class:`BudgetExceededError` instead of running forever.
+explicit — an instance that needs more work than the state budget
+(:func:`modhom.errors.state_budget_default`) raises
+:class:`BudgetExceededError` instead of running forever.
 """
 
 from __future__ import annotations
@@ -17,13 +18,7 @@ from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
 from .elimination import partition_sum
-from .errors import (  # noqa: F401  (the budget helpers are re-exported)
-    STATE_BUDGET_DEFAULT,
-    BudgetExceededError,
-    InputError,
-    state_budget_default,
-    state_budget_scope,
-)
+from .errors import BudgetExceededError, InputError, over_budget, state_budget_default
 from .graphs import (
     DistinguishedGraph,
     Graph,
@@ -182,16 +177,13 @@ def count_homs(
     j: Graph | PartiallyLabelledGraph,
     h: Graph,
     p: int | None = None,
-    *,
-    state_budget: int | None = None,
 ) -> HomCount:
     """Count maps V(G) -> V(H) preserving every edge and respecting pins.
 
     Exact, by variable elimination over the source: every vertex ranges over
-    V(H), a pinned one over its pin alone, and every edge carries A(H).
-    ``state_budget`` (default :func:`state_budget_default`) bounds the
-    elimination's table states.  With ``p`` the result also carries the
-    residue mod p.
+    V(H), a pinned one over its pin alone, and every edge carries A(H).  The
+    state budget bounds the elimination's table states.  With ``p`` the
+    result also carries the residue mod p.
     """
     j = _as_labelled(j)
     if isinstance(j.base, Multigraph):
@@ -201,13 +193,9 @@ def count_homs(
     if p is not None:
         _assert_prime(p)
 
-    budget = state_budget if state_budget is not None else state_budget_default()
     adj = _adjacency_matrix(h)
     total = partition_sum(
-        _pinned_weights(g.n, pins, h.n),
-        [(u, v, adj) for u, v in g.edges],
-        None,
-        budget,
+        _pinned_weights(g.n, pins, h.n), [(u, v, adj) for u, v in g.edges], None
     )
     residue = ZpScalar(total % p, p) if p is not None else None
     return HomCount(exact=total, residue=residue)
@@ -226,9 +214,14 @@ def _pinned_weights(
 
 
 def enumerate_homs(
-    j: Graph | PartiallyLabelledGraph, h: Graph, *, limit: int = 10**6
+    j: Graph | PartiallyLabelledGraph, h: Graph
 ) -> Iterator[dict[int, int]]:
-    """Yield every homomorphism as a dict (for tiny-scale audits)."""
+    """Yield every homomorphism as a dict (for tiny-scale audits).
+
+    Each image tried for a free vertex is one step; past the state budget
+    (read once per enumeration) it raises :class:`BudgetExceededError`.
+    """
+    budget = state_budget_default()
     j = _as_labelled(j)
     if isinstance(j.base, Multigraph):
         raise InputError("homomorphism counting needs a simple base graph")
@@ -255,12 +248,9 @@ def enumerate_homs(
     # stack[i] iterates the untried images of free_order[i]; the first
     # len(stack) free vertices are assigned whenever the loop comes round.
     stack: list[Iterator[int]] = []
-    yielded = 0
+    steps = 0
     while True:
         if len(stack) == len(free_order):
-            yielded += 1
-            if yielded > limit:
-                raise BudgetExceededError(f"more than {limit} homomorphisms")
             yield dict(assignment)
         else:
             stack.append(candidates(free_order[len(stack)]))
@@ -268,6 +258,12 @@ def enumerate_homs(
             v = free_order[len(stack) - 1]
             w = next(stack[-1], None)
             if w is not None:
+                steps += 1
+                if steps > budget:
+                    raise over_budget(
+                        f"hom enumeration of {g.n} vertices tried {steps} images",
+                        budget,
+                    )
                 assignment[v] = w
                 break
             stack.pop()
@@ -377,11 +373,11 @@ def count_homs_subdivided(
     # One matrix product costs n^3 multiply-adds, as many as the table the
     # engine would build to eliminate one subdivision vertex.
     if max(norm_lengths.values(), default=1) > 1 and h.n**3 > budget:
-        raise BudgetExceededError(
+        raise over_budget(
             f"adjacency powers of a {h.n}-vertex target need {h.n**3} "
-            f"multiply-adds per product > state budget {budget}; a state budget "
-            f">= {h.n**3} suffices "
-            f"(MODHOM_BUDGET_STATES, or state_budget in the CLI config)"
+            f"multiply-adds per product",
+            budget,
+            h.n**3,
         )
     adj = _adjacency_matrix(h)
     powers = {ell: _mat_pow(adj, ell, p) for ell in set(norm_lengths.values())}
@@ -389,7 +385,6 @@ def count_homs_subdivided(
         _pinned_weights(skeleton.n, pins, h.n),
         [(u, v, powers[ell]) for (u, v), ell in norm_lengths.items()],
         p,
-        budget,
     )
     return ZpScalar.of(total, p)
 
@@ -447,7 +442,6 @@ def _marked_count(
     targets: Sequence[int],
     h: Graph,
     p: int,
-    state_budget: int | None = None,
 ) -> ZpScalar:
     """Homs of g mod p with marks[i] pinned to targets[i]; 0 when one mark
     would need two different targets."""
@@ -455,9 +449,7 @@ def _marked_count(
     for mark, t in zip(marks, targets):
         if pins.setdefault(mark, t) != t:
             return ZpScalar.of(0, p)
-    hc = count_homs(
-        PartiallyLabelledGraph.make(g, pins), h, p, state_budget=state_budget
-    )
+    hc = count_homs(PartiallyLabelledGraph.make(g, pins), h, p)
     assert hc.residue is not None
     return hc.residue
 
@@ -467,10 +459,11 @@ def tuple_vector(
     h: Graph,
     p: int,
     contract: bool = False,
-    *,
-    state_budget: int | None = None,
 ) -> TupleVector:
     """Pinned hom counts of (g, marks) against every r-tuple of ``h``.
+
+    Each entry is one :func:`count_homs`, bounded by the state budget; the
+    tuple space itself is capped at ``TUPLE_BUDGET`` entries.
 
     With ``contract`` the entries collapse to one per isomorphism class of
     marked targets; this requires ``h`` to have no automorphism of order p
@@ -483,10 +476,7 @@ def tuple_vector(
         raise BudgetExceededError(f"tuple space {h.n}^{r} exceeds {TUPLE_BUDGET}")
 
     all_tuples = list(itertools.product(range(h.n), repeat=r))
-    raw = [
-        _marked_count(g.base, g.marks, t, h, p, state_budget)
-        for t in all_tuples
-    ]
+    raw = [_marked_count(g.base, g.marks, t, h, p) for t in all_tuples]
     if not contract:
         return TupleVector(
             arity=r,

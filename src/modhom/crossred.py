@@ -410,19 +410,18 @@ def count_homs_mod_composite(
     j: Graph | PartiallyLabelledGraph,
     h: Graph,
     k: int,
-    *,
-    state_budget: int | None = None,
 ) -> CompositeCount:
     """Count homomorphisms mod a squarefree ``k``: the exact count reduced
     mod k and mod each prime factor.  Non-squarefree moduli are rejected,
     because the per-prime parts determine a residue mod k only when k is
-    squarefree.  ``state_budget`` is passed to :func:`count_homs`."""
+    squarefree.  The exact count is one :func:`count_homs`, bounded by the
+    state budget."""
     if k < 2:
         raise InputError("modulus must be at least 2")
     factors = _prime_factors(k)
     if any(e > 1 for e in factors.values()):
         raise InputError(f"modulus {k} is not squarefree")
-    exact = count_homs(j, h, state_budget=state_budget).exact
+    exact = count_homs(j, h).exact
     assert exact is not None
     return CompositeCount(
         modulus=k,

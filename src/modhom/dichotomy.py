@@ -8,7 +8,9 @@ anything else is out of scope for the classifier (verdict ``Unknown``).
 The hardness certificate is a path x_0..x_k with endpoint degrees a, b not
 congruent to 1 mod p, every interior degree congruent to 1, and no second
 path joining its endpoints.  ``AbPath.validate`` re-checks all of this
-directly against the graph, so certificates stand on their own.
+directly against the graph, so certificates stand on their own.  A path is
+the only one joining its ends iff every edge on it is a bridge (Tarjan, IPL
+1974); the uniqueness test is linear in the graph and needs no budget.
 
 ``classify`` analyses the reduced target's structure once and reads the
 decomposition, the forest test and each component's star test from that one
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .counting import _assert_prime, HomCount, ZpScalar
-from .errors import BudgetExceededError, InputError
+from .errors import InputError
 from .graphs import (
     Graph,
     StructureReport,
@@ -35,44 +37,35 @@ from .graphs import (
 # because perfbench's tracer patches it under this module's name.
 from .reduction import ReductionTrace, find_order_p_automorphism, reduced_form  # noqa: F401
 
-PATH_SEARCH_STEPS = 10**6
 
+def _is_only_path(h: Graph, vs: Sequence[int]) -> bool:
+    """Whether the simple path ``vs`` is the only path in ``h`` joining its
+    ends.
 
-def _simple_paths(
-    h: Graph, u: int, v: int, cap: int, budget: int = PATH_SEARCH_STEPS
-) -> list[tuple[int, ...]]:
-    """Up to ``cap`` simple u-v paths (DFS, neighbours in ascending order).
-
-    The search keeps its own stack, so path length is not limited by the
-    interpreter's recursion depth.  Each vertex entered costs one step of
-    ``budget``.
+    A second path leaves ``vs`` at some x_i and first returns at some
+    x_j != x_i without using an edge of ``vs``, so one exists iff two
+    vertices of ``vs`` are joined once the path's own edges are removed.
+    One search labelled by its starting path vertex decides that in
+    O(n + m).
     """
-    out: list[tuple[int, ...]] = []
-    steps = 0
-    path = [u]
-    on_path = {u}
-    untried: list[Iterator[int]] = []  # one per path vertex being extended
-    while True:
-        steps += 1
-        if steps > budget:
-            raise BudgetExceededError("simple-path search budget exhausted")
-        if path[-1] == v:
-            out.append(tuple(path))
-            if len(out) >= cap:
-                return out
-            on_path.discard(path.pop())
-        else:
-            untried.append(iter(sorted(h.neighbors(path[-1]))))
-        while untried:
-            y = next((y for y in untried[-1] if y not in on_path), None)
-            if y is not None:
-                path.append(y)
-                on_path.add(y)
-                break
-            untried.pop()
-            on_path.discard(path.pop())
-        else:
-            return out
+    path_edges = set(zip(vs, vs[1:])) | set(zip(vs[1:], vs))
+    owner: dict[int, int] = {}
+    for x in vs:
+        if x in owner:
+            return False
+        owner[x] = x
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            for z in h.neighbors(y):
+                if (y, z) in path_edges:
+                    continue
+                if z not in owner:
+                    owner[z] = x
+                    stack.append(z)
+                elif owner[z] != x:
+                    return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -126,11 +119,8 @@ class AbPath:
         for x in vs[1:-1]:
             if h.degree(x) % self.p != 1:
                 raise InputError(f"interior vertex {x} has degree != 1 mod p")
-        found = _simple_paths(h, vs[0], vs[-1], cap=2)
-        if len(found) != 1:
+        if not _is_only_path(h, vs):
             raise InputError("endpoint pair is joined by more than one path")
-        if found[0] != vs:
-            raise InputError("certificate path is not the unique connecting path")
 
 
 def _diameter_path_certificate(h: Graph, p: int) -> tuple[int, ...]:
@@ -224,7 +214,7 @@ def find_ab_path(h: Graph, p: int) -> AbPath | None:
             for u in range(h.n)
             if h.degree(u) % p != 1
             for path in _candidate_paths_from(h, u, p)
-            if is_tree or len(_simple_paths(h, u, path[-1], cap=2)) == 1
+            if is_tree or _is_only_path(h, path)
         ),
         default=None,
     )

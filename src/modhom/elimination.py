@@ -43,7 +43,7 @@ import heapq
 from math import prod
 from typing import Iterable, Iterator, Sequence
 
-from .errors import BudgetExceededError
+from .errors import over_budget, state_budget_default
 
 Matrix = Sequence[Sequence[int]]
 # (constant, fold, weights, domains, neighbours): the constant times the
@@ -64,7 +64,6 @@ def partition_sum(
     weights: Sequence[Sequence[int]],
     edges: Iterable[tuple[int, int, Matrix]],
     mod: int | None,
-    budget: int,
 ) -> int:
     """Σ_σ Π_v weights[v][σ_v] Π_(u,v,M) M[σ_u][σ_v], mod ``mod`` or exact
     when it is None.
@@ -73,8 +72,9 @@ def partition_sum(
     graph is undirected); parallel edges multiply.  With ``mod``, the
     entries of M must fit in an int64 (every caller passes residues).  Raises
     BudgetExceededError, before any elimination table is built, when the
-    evaluation needs more than ``budget`` table states.
+    evaluation needs more table states than :func:`state_budget_default`.
     """
+    budget = state_budget_default()
     n = len(weights)
     if mod is None:
         w = [list(wv) for wv in weights]
@@ -112,11 +112,7 @@ def partition_sum(
                 break
         need = max(tables, fold)
     if need > budget:
-        raise BudgetExceededError(
-            f"elimination needs {need} table states > state budget {budget}; "
-            f"a state budget >= {need} suffices "
-            f"(MODHOM_BUDGET_STATES, or state_budget in the CLI config)"
-        )
+        raise over_budget(f"elimination needs {need} table states", budget, need)
     if not conditioned:
         return _eliminate(root, order, mod)
     total = 0

@@ -5,8 +5,12 @@ the instance was structurally fine but too large for the configured budget
 (the caller may retry with a bigger budget or a smaller instance).  The CLI
 maps them to exit codes 1 and 2 respectively.
 
-One state budget bounds the work of every engine: the table states of a
-partition sum and the placements of a symmetry search.
+One state budget bounds the work of every engine, each in its own unit:
+the table states of a partition sum (and the multiply-adds of one matrix
+product of a subdivided count), the placements of a symmetry search, the
+2^n assignments of #SAT and the images tried by hom enumeration.  Every
+engine reads it from :func:`state_budget_default` and words its refusal
+with :func:`over_budget`.
 """
 
 from __future__ import annotations
@@ -65,3 +69,21 @@ def state_budget_default() -> int:
     if value <= 0:
         raise InputError("MODHOM_BUDGET_STATES must be positive")
     return value
+
+
+def over_budget(work: str, budget: int, need: int | None = None) -> BudgetExceededError:
+    """The refusal of an engine whose ``work`` (say, ``"elimination needs 16
+    table states"``) exceeds ``budget``.  ``need`` is a budget known to
+    suffice; an engine that cannot know its size in advance passes None.
+    A ``need`` too long to print in decimal is named by the least power of
+    two that is at least it."""
+    if need is None:
+        hint = "a larger state budget may suffice"
+    elif need.bit_length() <= 10_000:
+        hint = f"a state budget >= {need} suffices"
+    else:
+        hint = f"a state budget >= 2^{(need - 1).bit_length()} suffices"
+    return BudgetExceededError(
+        f"{work} > state budget {budget}; {hint} "
+        f"(MODHOM_BUDGET_STATES, or state_budget in the CLI config)"
+    )

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import BudgetExceededError, InputError, state_budget_default
+from .errors import BudgetExceededError, InputError, over_budget, state_budget_default
 
 # Largest vertex count a graph file's header may announce; parsing
 # allocates per announced vertex, so a short header must not claim billions.
@@ -744,10 +744,9 @@ def _iter_isomorphisms(
             continue
         placements += 1
         if placements > budget:
-            raise BudgetExceededError(
-                f"symmetry search on {n} vertices made {placements} placements "
-                f"> state budget {budget}; a larger state budget may suffice "
-                f"(MODHOM_BUDGET_STATES, or state_budget in the CLI config)"
+            raise over_budget(
+                f"symmetry search on {n} vertices made {placements} placements",
+                budget,
             )
         low = cand & -cand
         candidates[v] = cand ^ low

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .counting import ZpScalar, _assert_prime, state_budget_default
+from .counting import ZpScalar, _assert_prime
 from .elimination import partition_sum
 from .errors import InputError
 from .graphs import Graph, Multigraph, PartiallyLabelledGraph
@@ -117,7 +117,7 @@ def _z_spin_general(
             edges.append((u, v, ((1, 1), (1, factor))))
     for v, s in pins.items():
         weights[v][1 - s] = 0
-    return ZpScalar.of(partition_sum(weights, edges, p, state_budget_default()), p)
+    return ZpScalar.of(partition_sum(weights, edges, p), p)
 
 
 def z_spin(

@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .counting import ZpScalar, _assert_prime, state_budget_default
+from .counting import ZpScalar, _assert_prime
 from .elimination import _INT64_MOD, partition_sum
-from .errors import BudgetExceededError, InputError
+from .errors import BudgetExceededError, InputError, over_budget, state_budget_default
 from .graphs import BipartiteGraph, Graph, adjacency_masks
 
 SUBSET_BOUND = 24
@@ -67,9 +67,7 @@ def _independent_set_sum(
 ) -> int:
     """Σ over independent sets of the product of the members' weights; each
     vertex has weights (not in the set, in the set)."""
-    return partition_sum(
-        weights, [(u, v, _IS_EDGE) for u, v in edges], mod, state_budget_default()
-    )
+    return partition_sum(weights, [(u, v, _IS_EDGE) for u, v in edges], mod)
 
 
 def _side_weights(g: BipartiteGraph, wl: int, wr: int) -> list[tuple[int, int]]:
@@ -173,14 +171,9 @@ def _popcount64(x: np.ndarray) -> np.ndarray:
     return (x * h01) >> np.uint64(56)
 
 
-def z_wbis_flat(
-    g: BipartiteGraph,
-    w: WbisWeights,
-    *,
-    side: str = "auto",
-    budget_bits: int = SIDE_TRACE_BITS,
-) -> ZpScalar:
-    """Side-trace evaluation: full enumeration over one side, vectorized.
+def z_wbis_flat(g: BipartiteGraph, w: WbisWeights) -> ZpScalar:
+    """Side-trace evaluation: full enumeration over the smaller side (at most
+    ``SIDE_TRACE_BITS`` vertices), vectorized.
 
     Every independent set is a subset S of the enumerated side plus an
     arbitrary subset of the opposite vertices not adjacent to S, so
@@ -196,17 +189,15 @@ def z_wbis_flat(
     import numpy as np
 
     p = w.p
-    if side not in ("auto", "left", "right"):
-        raise InputError(f"unknown side {side!r}")
     left, right = sorted(g.left), sorted(g.right)
-    use_left = len(left) <= len(right) if side == "auto" else side == "left"
+    use_left = len(left) <= len(right)
     enum = left if use_left else right
     other = right if use_left else left
     we = w.lambda_l.value if use_left else w.lambda_r.value
     wo = w.lambda_r.value if use_left else w.lambda_l.value
     e, no = len(enum), len(other)
-    if e > budget_bits:
-        raise BudgetExceededError(f"enumerated side {e} exceeds {budget_bits} bits")
+    if e > SIDE_TRACE_BITS:
+        raise BudgetExceededError(f"enumerated side {e} exceeds {SIDE_TRACE_BITS} bits")
     if no > 63:
         raise BudgetExceededError("opposite side exceeds 63 bits")
 
@@ -639,17 +630,21 @@ def parse_dimacs_cnf(text: str) -> CnfFormula:
     return CnfFormula(n=header[0], clauses=tuple(clauses))
 
 
-def count_sat(phi: CnfFormula, *, budget_vars: int = 24) -> int:
+def count_sat(phi: CnfFormula) -> int:
     """Exhaustive satisfying-assignment count on big-integer truth tables.
 
     Assignments are taken in blocks of 2^20 (one block below 20 variables).
     Bit a of a low variable's table is that variable's value in the a-th
     assignment of a block; the high variables are constant across a block.
     A clause's table is the OR of its literals' tables, and a block counts
-    the set bits of the AND of its clauses' tables.
+    the set bits of the AND of its clauses' tables.  The 2^n assignments
+    count against the state budget.
     """
-    if phi.n > budget_vars:
-        raise BudgetExceededError(f"{phi.n} variables exceed budget {budget_vars}")
+    budget = state_budget_default()
+    if phi.n >= budget.bit_length():  # 2^n > budget
+        raise over_budget(
+            f"#SAT on {phi.n} variables needs 2^{phi.n} assignments", budget, 1 << phi.n
+        )
     low = min(phi.n, SAT_BLOCK_VARS)
     size = 1 << low
     full = (1 << size) - 1
@@ -891,6 +886,9 @@ def verify_sat_reduction(phi: CnfFormula, w: WbisWeights) -> SatReductionReport:
     against it, with any disagreement raised as an internal error.  ``ok``
     reports only the mathematical identity.
     """
+    # #SAT's budget check comes first, so a formula too wide for it is
+    # refused before G_phi, six vertices per variable, is built.
+    sat = count_sat(phi)
     gp = build_G_phi(phi, w)
     gadget = gp.gadget
     p = w.p
@@ -913,7 +911,6 @@ def verify_sat_reduction(phi: CnfFormula, w: WbisWeights) -> SatReductionReport:
         * gadget.z_minus_uL**n
         * gadget.z_minus_vR ** (n + m)
     )
-    sat = count_sat(phi)
     ok = lhs == K * ZpScalar.of(sat, p)
 
     checks: list[str] = []

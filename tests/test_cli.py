@@ -13,9 +13,8 @@ from hypothesis import strategies as st
 
 from modhom import cli
 from modhom.cli import RunConfig, main
-from modhom.counting import state_budget_default
 from modhom.crossred import P4Report
-from modhom.errors import InputError
+from modhom.errors import InputError, state_budget_default
 from modhom.graphs import parse_graph
 from modhom.wbis import parse_dimacs_cnf
 
@@ -149,6 +148,26 @@ def test_wbis_sat_reduce(capsys, files):
     assert doc["ok"] is True
     assert doc["sat"] == 3
     assert doc["lhs"] == 0  # K * 3 mod 3
+
+
+def test_wbis_sat_reduce_counts_under_the_state_budget(capsys, tmp_path, monkeypatch):
+    """#SAT on 25 variables takes 2^25 assignments: within the default
+    budget, and refused one below 2^25 with 2^25 named as enough."""
+    monkeypatch.delenv("MODHOM_BUDGET_STATES", raising=False)
+    cnf = tmp_path / "wide.cnf"
+    cnf.write_text("p cnf 25 2\n1 -2 0\n3 4 0\n")
+    argv = [
+        "wbis", "sat-reduce", str(cnf),
+        "--p", "3", "--lambda-left", "1", "--lambda-right", "1",
+    ]
+    doc = run_json(capsys, *argv)
+    assert doc["ok"] is True
+    assert doc["sat"] == 9 << 21
+    conf = tmp_path / "tight.json"
+    conf.write_text('{"state_budget": 33554431}')
+    assert main(["--config", str(conf), *argv]) == 2
+    err = capsys.readouterr().err
+    assert "state budget 33554431; a state budget >= 33554432 suffices" in err
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,16 @@ from modhom.counting import (
     enumerate_homs,
     find_distinguisher,
     is_prime,
-    state_budget_default,
     tuple_vector,
     vec_combine,
     zp,
 )
-from modhom.errors import BudgetExceededError, InputError
+from modhom.errors import (
+    BudgetExceededError,
+    InputError,
+    state_budget_default,
+    state_budget_scope,
+)
 from modhom.graphs import (
     DistinguishedGraph,
     Graph,
@@ -244,21 +248,37 @@ def test_enumerate_homs_on_a_long_path():
     assert len(list(enumerate_homs(path_graph(2000), path_graph(2)))) == 2
 
 
+def test_enumerate_homs_charges_each_image_tried():
+    """P3 -> K3 tries 3 images for the middle vertex, 2 for one leaf under
+    each and 2 for the other under each of those: 21 in all, so a budget of
+    20 refuses and 21 answers."""
+    with state_budget_scope(20):
+        with pytest.raises(
+            BudgetExceededError,
+            match="hom enumeration of 3 vertices tried 21 images > state budget 20;",
+        ):
+            list(enumerate_homs(path_graph(3), complete_graph(3)))
+    with state_budget_scope(21):
+        assert len(list(enumerate_homs(path_graph(3), complete_graph(3)))) == 12
+
+
 def test_state_budget_guard():
-    with pytest.raises(BudgetExceededError):
-        count_homs(complete_graph(6), complete_graph(5), state_budget=10)
+    with pytest.raises(BudgetExceededError), state_budget_scope(10):
+        count_homs(complete_graph(6), complete_graph(5))
     # pinned vertices are not free; a full pinning always fits
     j = PartiallyLabelledGraph.make(path_graph(2), {0: 0, 1: 1})
-    assert count_homs(j, path_graph(2), state_budget=1).exact == 1
+    with state_budget_scope(1):
+        assert count_homs(j, path_graph(2)).exact == 1
 
 
 def test_refusal_names_a_sufficient_budget():
     """K6 -> K5 eliminates K6's vertices in turn: the first table spans all
     six, 5^6 states.  The refusal says so, and that budget is enough."""
-    with pytest.raises(BudgetExceededError) as exc:
-        count_homs(complete_graph(6), complete_graph(5), state_budget=5**6 - 1)
+    with pytest.raises(BudgetExceededError) as exc, state_budget_scope(5**6 - 1):
+        count_homs(complete_graph(6), complete_graph(5))
     assert "state budget >= 15625 suffices" in str(exc.value)
-    hc = count_homs(complete_graph(6), complete_graph(5), state_budget=5**6)
+    with state_budget_scope(5**6):
+        hc = count_homs(complete_graph(6), complete_graph(5))
     assert hc.exact == 0
 
 

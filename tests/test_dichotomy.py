@@ -161,6 +161,46 @@ def test_diameter_cross_check_runs_on_large_trees(monkeypatch):
     assert calls == [(2400, 3)]
 
 
+def test_only_path_test_matches_path_enumeration():
+    """The cut test says a simple path is the only one joining its ends
+    exactly when enumerating every simple path between them finds one."""
+    rng = random.Random(RNG_SEED + 1)
+    seen = {True: 0, False: 0}
+    while sum(seen.values()) < 5000:
+        h = rand_graph(rng, rng.randint(2, 9), rng.uniform(0.15, 0.35))
+        if h.m < h.n:  # too few edges for a cycle
+            continue
+        for _ in range(3):
+            s, t = rng.sample(range(h.n), 2)
+            paths = simple_paths(h, s, t)
+            for path in paths:
+                assert dichotomy._is_only_path(h, path) == (len(paths) == 1)
+                seen[len(paths) == 1] += 1
+    assert min(seen.values()) >= 50
+
+
+def test_validate_rejects_a_chord_and_a_second_route():
+    # at p = 2 the interior vertices have odd degree, the ends even
+    chord = Graph.make(6, [(0, 1), (1, 2), (2, 3), (0, 2), (1, 4), (3, 5)])
+    detour = Graph.make(5, [(0, 1), (1, 2), (0, 3), (3, 2), (1, 4)])
+    for h, vertices in ((chord, (0, 1, 2, 3)), (detour, (0, 1, 2))):
+        cert = AbPath.from_path(h, vertices, 2)
+        with pytest.raises(InputError, match="joined by more than one path"):
+            cert.validate(h)
+
+
+def test_certificate_beside_a_clique():
+    """K_11 with a tail 0-11-12 and two leaves on 12, at p = 3: every clique
+    vertex but 0 has degree 10 = 1 mod 3, so the clique is full of candidate
+    interiors.  The linear uniqueness test answers where enumerating the
+    clique's paths would not."""
+    edges = [(u, v) for u in range(11) for v in range(u + 1, 11)]
+    h = Graph.make(15, edges + [(0, 11), (11, 12), (12, 13), (12, 14)])
+    cert = find_ab_path(h, 3)
+    assert cert is not None and cert.vertices == (0, 11)
+    assert (cert.a, cert.b) == (2, 2)
+
+
 def test_certificate_search_requires_connected_input():
     with pytest.raises(InputError):
         find_ab_path(Graph.make(3, [(0, 1)]), 3)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from conftest import flat_hom_count, flat_spin, flat_wbis, rand_bip, rand_graph
 from modhom import elimination
 from modhom.counting import count_homs
-from modhom.errors import BudgetExceededError
+from modhom.errors import BudgetExceededError, state_budget_scope
 from modhom.graphs import Multigraph, PartiallyLabelledGraph, complete_graph
 from modhom.spin import SpinParams, z_spin
 from modhom.wbis import WbisWeights, z_wbis, z_wbis_exact, z_wbis_flat
@@ -86,12 +86,14 @@ def test_conditioned_refusal_names_a_sufficient_budget(rng, cap, gn, hn):
     with mock.patch.object(elimination, "TABLE_CAP", cap):
         for budget in (1, 3):
             try:
-                got = count_homs(g, h, state_budget=budget).exact
+                with state_budget_scope(budget):
+                    got = count_homs(g, h).exact
             except BudgetExceededError as exc:
                 hint = re.search(r"state budget >= (\d+) suffices", str(exc))
                 need = int(hint[1])
                 assert need > budget
-                got = count_homs(g, h, state_budget=need).exact
+                with state_budget_scope(need):
+                    got = count_homs(g, h).exact
             assert got == flat_hom_count(g, h)
 
 
@@ -99,7 +101,8 @@ def test_complete_graph_counts_are_falling_factorials():
     """hom(K_n -> K_m) counts injective maps, m!/(m-n)!; min-degree
     elimination alone would need m^n states, conditioning far fewer."""
     for n, m in ((10, 5), (8, 8), (5, 8)):
-        got = count_homs(complete_graph(n), complete_graph(m), state_budget=2 * 10**6)
+        with state_budget_scope(2 * 10**6):
+            got = count_homs(complete_graph(n), complete_graph(m))
         assert got.exact == math.perm(m, n)
     assert _plan_states(complete_graph(10), 5) == 5**10
 
@@ -129,9 +132,10 @@ def test_every_branch_costs_a_state():
     Charging each branch one state still bounds their number by the
     budget."""
     with mock.patch.object(elimination, "TABLE_CAP", 1):
-        with pytest.raises(BudgetExceededError):
-            count_homs(complete_graph(4), complete_graph(4), state_budget=11)
-        got = count_homs(complete_graph(4), complete_graph(4), state_budget=12)
+        with pytest.raises(BudgetExceededError), state_budget_scope(11):
+            count_homs(complete_graph(4), complete_graph(4))
+        with state_budget_scope(12):
+            got = count_homs(complete_graph(4), complete_graph(4))
     assert got.exact == 24
 
 

@@ -21,7 +21,7 @@ from conftest import (
     wbis_census,
 )
 from modhom.counting import zp
-from modhom.errors import BudgetExceededError, InputError
+from modhom.errors import BudgetExceededError, InputError, state_budget_scope
 from modhom.graphs import BipartiteGraph, path_graph
 from modhom.wbis import (
     CnfFormula,
@@ -179,6 +179,10 @@ def shared_neighbourhoods(draw) -> BipartiteGraph:
     return BipartiteGraph.make(left, right, edges)
 
 
+def _mirror(g: BipartiteGraph) -> BipartiteGraph:
+    return BipartiteGraph.make(g.right, g.left, g.edges)
+
+
 @given(
     shared_neighbourhoods(),
     st.sampled_from([2, 3, 5, 101]),
@@ -187,10 +191,12 @@ def shared_neighbourhoods(draw) -> BipartiteGraph:
 )
 @settings(max_examples=80, deadline=None)
 def test_side_trace_matches_census_property(g, p, ll, lr):
+    """The graph and its mirror (sides and weights swapped) have the same
+    sum; between them the sweep enumerates from each side."""
     w = WbisWeights.of(ll, lr, p)
     want = flat_wbis(g, w.lambda_l.value, w.lambda_r.value) % p
-    for side in ("auto", "left", "right"):
-        assert z_wbis_flat(g, w, side=side).value == want
+    assert z_wbis_flat(g, w).value == want
+    assert z_wbis_flat(_mirror(g), w.swapped()).value == want
 
 
 @pytest.mark.parametrize("p", [4294967311, 2**61 - 1])
@@ -201,21 +207,19 @@ def test_side_trace_beyond_int64_products(p):
         g = rand_bip(rng, 6, 7, 0.5)
         ll, lr = rng.randrange(1, p), rng.randrange(1, p)
         want = z_wbis_exact(g, ll, lr) % p
-        for side in ("auto", "left", "right"):
-            assert z_wbis_flat(g, WbisWeights.of(ll, lr, p), side=side).value == want
+        w = WbisWeights.of(ll, lr, p)
+        assert z_wbis_flat(g, w).value == want
+        assert z_wbis_flat(_mirror(g), w.swapped()).value == want
 
 
 def test_side_trace_refusals():
-    g = rand_bip(random.Random(RNG_SEED + 8), 5, 6, 0.5)
     w = WbisWeights.of(1, 2, 3)
-    with pytest.raises(BudgetExceededError, match="enumerated side 5 exceeds 4 bits"):
-        z_wbis_flat(g, w, side="left", budget_bits=4)
-    assert z_wbis_flat(g, w, side="left", budget_bits=5).value == z_wbis_exact(g, 1, 2) % 3
+    edgeless = BipartiteGraph.make(range(27), range(27, 54))
+    with pytest.raises(BudgetExceededError, match="enumerated side 27 exceeds 26 bits"):
+        z_wbis_flat(edgeless, w)
     star = BipartiteGraph.make([0], range(1, 65), [(0, v) for v in range(1, 65)])
     with pytest.raises(BudgetExceededError, match="opposite side exceeds 63 bits"):
         z_wbis_flat(star, w)
-    with pytest.raises(InputError):
-        z_wbis_flat(g, w, side="middle")
 
 
 # ---------------------------------------------------------------------------
@@ -396,11 +400,21 @@ def test_count_sat_chain_spans_blocks():
     assert count_sat(tail) == 46368 - 17711
 
 
-def test_count_sat_refuses_beyond_budget():
-    with pytest.raises(BudgetExceededError):
-        count_sat(CnfFormula(25, ((1,),)))
-    with pytest.raises(BudgetExceededError):
-        count_sat(CnfFormula(5, ((1,),)), budget_vars=4)
+def test_count_sat_refuses_beyond_budget(monkeypatch):
+    """The 2^n assignments count against the state budget, and the refusal
+    names 2^n as the budget that suffices."""
+    monkeypatch.delenv("MODHOM_BUDGET_STATES", raising=False)
+    with pytest.raises(BudgetExceededError, match="state budget >= 134217728 suffices"):
+        count_sat(CnfFormula(27, ((1,),)))
+    assert count_sat(CnfFormula(25, ((1,), (-2,)))) == 1 << 23
+    # 2^20000 has too many digits to print, so it is named as a power
+    with pytest.raises(BudgetExceededError, match="state budget >= 2\\^20000 suffices"):
+        count_sat(CnfFormula(20000, ((1,),)))
+    with state_budget_scope(31):
+        with pytest.raises(BudgetExceededError, match="state budget >= 32 suffices"):
+            count_sat(CnfFormula(5, ((1,),)))
+    with state_budget_scope(32):
+        assert count_sat(CnfFormula(5, ((1,),))) == 16
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +432,13 @@ def test_g_phi_shape():
     assert built.graph.n == built.core_size + len(built.copies) * block
     for info in built.copies:
         assert info.core_vertex in (built.w + built.z + built.y)
+
+
+def test_sat_reduction_refuses_a_wide_formula_first():
+    """Too many variables for #SAT is refused before G_phi is built: a
+    million-variable header would otherwise build six million vertices."""
+    with pytest.raises(BudgetExceededError, match="#SAT on 1000000 variables"):
+        verify_sat_reduction(CnfFormula(10**6, ((1,),)), WbisWeights.of(1, 1, 3))
 
 
 def test_sat_reduction_single_clause_by_hand():
