@@ -15,8 +15,12 @@ the only one joining its ends iff every edge on it is a bridge (Tarjan, IPL
 ``classify`` analyses the reduced target's structure once and reads the
 decomposition, the forest test and each component's star test from that one
 pass.  On every non-star tree that has no order-p automorphism (p does not
-divide its AHU-counted |Aut|), ``find_ab_path`` cross-checks its search
-against a certificate built from a diameter path.
+divide its AHU-counted |Aut|), the certificate search is cross-checked
+against a certificate built from a diameter path.  ``find_ab_path`` counts
+|Aut| to decide that; ``classify`` need not, since the reduction stopped on
+a passed Cauchy check, so p divides |Aut| of no component of the reduced
+forest.  It also searches a reduced forest that is one tree in place, with
+no relabelled copy.
 """
 
 from __future__ import annotations
@@ -206,8 +210,19 @@ def find_ab_path(h: Graph, p: int) -> AbPath | None:
     _assert_prime(p)
     if h.n == 0 or not h.is_connected():
         raise InputError("certificate search expects a connected graph")
-
     is_tree = h.m == h.n - 1
+    cross_check = (
+        is_tree
+        and not _is_star(h, range(h.n))
+        and forest_automorphism_count(h) % p != 0
+    )
+    return _ab_path(h, p, is_tree, cross_check)
+
+
+def _ab_path(h: Graph, p: int, is_tree: bool, cross_check: bool) -> AbPath | None:
+    """The search of :func:`find_ab_path` on a connected graph, with the
+    diameter-path cross-check when ``cross_check`` says a certificate must
+    exist: ``h`` is a non-star tree whose |Aut| p does not divide."""
     best = min(
         (
             (len(path) - 1, path)
@@ -219,7 +234,7 @@ def find_ab_path(h: Graph, p: int) -> AbPath | None:
         default=None,
     )
 
-    if is_tree and not _is_star(h, range(h.n)) and forest_automorphism_count(h) % p:
+    if cross_check:
         built = AbPath.from_path(h, _diameter_path_certificate(h, p), p)
         built.validate(h)
         if best is None:
@@ -326,11 +341,17 @@ def classify(h: Graph, p: int) -> Classification:
 
     is_forest = hstar.m == hstar.n - len(rep.components)
     if is_forest:
+        # The reduction stopped on a passed Cauchy check, so p does not
+        # divide |Aut(hstar)|, nor |Aut| of any component, which embeds in
+        # it: every non-star component gets the diameter-path cross-check
+        # without recounting.
+        single = len(rep.components) == 1
         best: AbPath | None = None
         for comp in rep.components:
             if _is_star(hstar, comp):
                 continue
-            local = find_ab_path(hstar.induced(comp), p)
+            tree = hstar if single else hstar.induced(comp)
+            local = _ab_path(tree, p, is_tree=True, cross_check=True)
             if local is None:
                 continue
             mapped = AbPath(

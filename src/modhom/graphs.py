@@ -13,15 +13,19 @@ One search answers both questions: it maps graph a onto graph b, and an
 automorphism is a map from a graph onto itself.  It keeps adjacency as one
 bitmask per vertex, so checking a partial map against the vertices already
 placed is one mask comparison.  It only tries to send a vertex to vertices
-of its own class under stable colour refinement (1-WL): every isomorphism
-preserves those classes, so the pruning removes no isomorphism, and with
-candidates tried in ascending order the search yields them in
-lexicographic order of their image arrays.  Asked for the automorphisms of
-a prime order p, it also abandons every partial map that no element of
-order p extends: one that closes a cycle of another length, or whose moved
-vertices in some colour class can no longer reach a multiple of p.  For
-forests, :func:`forest_automorphism_count` gives the group order exactly
-from AHU canonical codes without enumerating anything.
+of its own class: every isomorphism preserves those classes, so the
+pruning removes no isomorphism, and with candidates tried in ascending
+order the search yields them in lexicographic order of their image arrays.
+On a forest, :func:`forest_symmetry` makes one pass of AHU canonical codes,
+kept on the graph, that gives the group order exactly, without enumerating
+anything, and the exact orbit classes; the automorphism search uses those
+classes and adds ancestor closure (placing a vertex forces its unplaced
+ancestors).  On every other graph the classes come from stable colour
+refinement (1-WL).
+Asked for the automorphisms of a prime order p, the search also abandons
+every partial map that no element of order p extends: one that closes a
+cycle of another length, or whose moved vertices in some colour class can
+no longer reach a multiple of p.
 """
 
 from __future__ import annotations
@@ -77,6 +81,11 @@ class Graph:
             nbrs[u].add(v)
             nbrs[v].add(u)
         return tuple(frozenset(s) for s in nbrs)
+
+    @cached_property
+    def _forest_symmetry(self) -> ForestSymmetry | None:
+        # made once per graph: a reduction step and its search both read it
+        return _symmetry_pass(self)
 
     @property
     def m(self) -> int:
@@ -678,6 +687,7 @@ def _iter_isomorphisms(
     colour_a: Sequence[int],
     colour_b: Sequence[int],
     order: int | None = None,
+    forest: ForestSymmetry | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Yield the isomorphisms a -> b that keep colours, as image arrays in
     lexicographic order.
@@ -692,12 +702,26 @@ def _iter_isomorphisms(
     among them).  Every cycle stays inside one colour class, so each vertex
     of a class smaller than p is fixed, and a partial map is abandoned as
     soon as it closes a cycle of another length, or as soon as the vertices
-    it moves in a class can no longer reach a multiple of p.  Pruning only
-    drops partial maps that no such element extends, so the rest come out
-    in the same order.
+    it moves in a class can no longer reach a multiple of p.
 
-    Each candidate tried is a placement; past the state budget (read once
-    per search) the search raises :class:`BudgetExceededError`.
+    ``forest``, the :func:`forest_symmetry` of ``a`` when ``b`` is ``a``
+    and the colours are its orbit classes, adds ancestor closure: every
+    automorphism maps parents to parents and bicentre partners to partners,
+    so placing v on w forces each unplaced ancestor of v onto the matching
+    ancestor of w (and, at a bicentre, the partner onto the partner).  A
+    placement whose forced images clash with placed or earlier forced ones
+    is abandoned, and a vertex with a forced image tries only that image.
+    A vertex placed after its parent needs no closure: the adjacency check
+    already sends it to a child of its parent's image, and its ancestors
+    were closed when its parent was placed.  On a tree rooted at its centre
+    a partial map extends to an automorphism iff its closure is a
+    consistent injection, so leaves placed before their parents no longer
+    multiply the search.
+
+    Pruning only drops partial maps that no yielded map extends, so the
+    rest come out in the same order.  Each candidate tried is a placement;
+    past the state budget (read once per search) the search raises
+    :class:`BudgetExceededError`.
     """
     n = a.n
     if n == 0:
@@ -717,6 +741,15 @@ def _iter_isomorphisms(
             for v, mask in enumerate(same_class)
         ]
     earlier = [[u for u in a._adj[v] if u < v] for v in range(n)]
+    # the vertices that need ancestor closure: roots, and vertices placed
+    # before their parents
+    closing = [False] * n
+    if forest is not None:
+        up, partner = forest.parent, forest.partner
+        closing = [not 0 <= up[v] < v for v in range(n)]
+    forced = [-1] * n  # forced image of an unplaced vertex, or -1
+    forced_at: list[list[int]] = [[] for _ in range(n)]  # level v: what v forced
+    taken = 0  # forced images
 
     mapping = [0] * n
     candidates = [0] * n  # level v: untried images for v
@@ -741,6 +774,10 @@ def _iter_isomorphisms(
                 used ^= 1 << mapping[v]
                 moved[colour_a[v]] -= added_moved[v]
                 free[colour_a[v]] -= added_free[v]
+                if closing[v]:
+                    for u in forced_at[v]:
+                        taken ^= 1 << forced[u]
+                        forced[u] = -1
             continue
         placements += 1
         if placements > budget:
@@ -775,6 +812,37 @@ def _iter_isomorphisms(
             if -(moved[c] + dm) % order > free[c] + df:
                 continue
             added_moved[v], added_free[v] = dm, df
+        if closing[v]:
+            # walk up from v and w in step, forcing each unplaced, unforced
+            # vertex; a placed or forced one was closed already
+            closed = forced_at[v]
+            closed.clear()
+            clash = False
+            r, s = v, w
+            while True:
+                u, x = up[r], up[s]
+                if u < 0:  # r and s are roots: pair their partners, last
+                    u, x, r = partner[r], partner[s], -1
+                    if u < 0:
+                        break
+                else:
+                    r, s = u, x
+                f = mapping[u] if u < v else forced[u]
+                if f == x:
+                    break
+                if f >= 0 or (used | taken) >> x & 1:
+                    clash = True
+                    break
+                forced[u] = x
+                taken |= 1 << x
+                closed.append(u)
+                if r < 0:
+                    break
+            if clash:
+                for u in closed:
+                    taken ^= 1 << forced[u]
+                    forced[u] = -1
+                continue
         mapping[v] = w
         if v == n - 1:
             yield tuple(mapping)
@@ -783,7 +851,12 @@ def _iter_isomorphisms(
         moved[colour_a[v]] += added_moved[v]
         free[colour_a[v]] += added_free[v]
         v += 1
-        candidates[v] = same_class[v] & ~used
+        if not taken:
+            candidates[v] = same_class[v] & ~used
+        elif forced[v] >= 0:
+            candidates[v] = same_class[v] & 1 << forced[v]
+        else:
+            candidates[v] = same_class[v] & ~(used | taken)
         wanted[v] = sum(1 << mapping[u] for u in earlier[v])
 
 
@@ -834,17 +907,23 @@ def iter_automorphisms(
 ) -> Iterator[Permutation]:
     """Yield automorphisms in lexicographic order of their image arrays.
 
-    This is the isomorphism search from ``g`` to itself, over the classes
-    of colour refinement seeded with degrees.  With a prime ``order`` p,
-    only the non-identity automorphisms whose cycles all have length 1 or
-    p are yielded: exactly the elements of order p, found with the pruning
-    described in :func:`_iter_isomorphisms`.
+    This is the isomorphism search from ``g`` to itself.  On a forest it
+    runs over the orbit classes of :func:`forest_symmetry` with ancestor
+    closure; on any other graph over the classes of colour refinement (1-WL)
+    seeded with degrees.  With a prime ``order`` p, only the non-identity
+    automorphisms whose cycles all have length 1 or p are yielded: exactly
+    the elements of order p, found with the pruning described in
+    :func:`_iter_isomorphisms`.
     """
     if order is not None and order < 2:
         raise InputError(f"automorphism order {order} is not a prime")
-    colour = _stable_colours(g._adj, [g.degree(v) for v in range(g.n)])
+    symmetry = forest_symmetry(g)
+    if symmetry is None:
+        colour = _stable_colours(g._adj, [g.degree(v) for v in range(g.n)])
+    else:
+        colour = symmetry.orbit
     identity = tuple(range(g.n))
-    for images in _iter_isomorphisms(g, g, colour, colour, order):
+    for images in _iter_isomorphisms(g, g, colour, colour, order, symmetry):
         if order is None or images != identity:
             yield Permutation(images)
 
@@ -864,89 +943,138 @@ def automorphism_group(g: Graph) -> list[Permutation]:
     return out
 
 
-def _tree_centres(g: Graph, comp: Sequence[int]) -> list[int]:
-    """The centre (one vertex) or bicentre (two) of a tree component, found
-    by stripping leaves layer by layer."""
-    degree = {v: g.degree(v) for v in comp}
-    layer = [v for v in comp if degree[v] <= 1]
-    remaining = len(comp)
-    while remaining > 2:
-        remaining -= len(layer)
-        nxt = []
-        for v in layer:
-            for w in g.neighbors(v):
-                degree[w] -= 1
-                if degree[w] == 1:
-                    nxt.append(w)
-        layer = nxt
-    return sorted(layer)
+@dataclass(frozen=True)
+class ForestSymmetry:
+    """What one canonical-code pass learns about a forest's automorphisms.
 
-
-def _rooted_code(
-    g: Graph, root: int, avoid: int, codes: dict[tuple[int, ...], int]
-) -> tuple[int, int]:
-    """AHU code and automorphism-group order of the tree hanging from
-    ``root``, not crossing into ``avoid``.
-
-    ``codes`` interns sorted child-code tuples as small ints, so two rooted
-    trees get equal codes exactly when they are isomorphic.  The group order
-    is the product of the children's orders times k! for every k children
-    with equal codes.
+    Each tree is rooted at its centre, or at both ends of its central edge
+    (its bicentre).  Tuples are indexed by vertex: ``orbit[v]`` is v's orbit
+    class (two vertices share one iff some automorphism maps one onto the
+    other), ``parent[v]`` is v's parent (-1 at a root) and ``partner[v]``
+    is the other end of v's central edge (-1 unless v is a bicentre
+    vertex).  Every automorphism maps parents to parents and partners to
+    partners.  ``order`` is |Aut|.
     """
-    parent = {root: avoid}
-    order = [root]
-    for v in order:  # grows while iterating: breadth-first
-        for w in g.neighbors(v):
-            if w != parent[v]:
-                parent[w] = v
-                order.append(w)
-    children: dict[int, list[int]] = {v: [] for v in order}
-    code: dict[int, int] = {}
-    aut = dict.fromkeys(order, 1)
-    for v in reversed(order):  # children before parents
-        kids = sorted(children[v])
-        code[v] = codes.setdefault(tuple(kids), len(codes))
-        run = 1
-        for prev, kid in zip(kids, kids[1:]):
-            run = run + 1 if kid == prev else 1
-            aut[v] *= run  # a run of k equal codes contributes 2*3*...*k = k!
-        if v != root:
-            children[parent[v]].append(code[v])
-            aut[parent[v]] *= aut[v]
-    return code[root], aut[root]
+
+    order: int
+    orbit: tuple[int, ...]
+    parent: tuple[int, ...]
+    partner: tuple[int, ...]
+
+
+def forest_symmetry(g: Graph) -> ForestSymmetry | None:
+    """The orbit classes, rooting and |Aut| of a forest from one pass of AHU
+    canonical codes (Aho, Hopcroft & Ullman 1974); None if g has a cycle.
+
+    The codes, rooting and order come from :func:`_forest_codes`.  A
+    vertex's orbit label chains its code with its parent's label; a root's
+    label is its tree's code, so the halves of a bicentre share a label
+    when they are isomorphic, and so do isomorphic trees.  The pass is made
+    once per graph and kept on it.
+    """
+    return g._forest_symmetry
+
+
+def _symmetry_pass(g: Graph) -> ForestSymmetry | None:
+    codes = _forest_codes(g)
+    if codes is None:
+        return None
+    order, code, parent, partner, peel = codes
+    labels: dict[tuple[int, ...], int] = {}
+    orbit = [0] * g.n
+    for v in reversed(peel):  # parents before children
+        u = parent[v]
+        if u >= 0:
+            key: tuple[int, ...] = (code[v], orbit[u])
+        elif partner[v] < 0:
+            key = (-1, code[v])
+        else:
+            key = (-2, code[v], code[partner[v]])
+        orbit[v] = labels.setdefault(key, len(labels))
+    return ForestSymmetry(order, tuple(orbit), tuple(parent), tuple(partner))
+
+
+def _forest_codes(
+    g: Graph,
+) -> tuple[int, list[int], list[int], list[int], list[int]] | None:
+    """|Aut|, AHU codes, parents, bicentre partners and peeling order of a
+    forest; None if g has a cycle.
+
+    Peeling every leaf at once, round after round, reaches each tree's
+    centre last, or its two bicentre vertices together; a vertex's parent
+    is the neighbour peeled after it.  A vertex's code interns its
+    children's sorted codes, so two rooted subtrees share a code exactly
+    when they are isomorphic.  The group order is the product over vertices
+    of k! for every k children with equal codes, times 2 for each tree with
+    isomorphic halves, times k! for every k pairwise isomorphic trees.
+    Nothing is enumerated, so there is no size bound.
+    """
+    n = g.n
+    adj = g._adj
+    left = [len(ws) for ws in adj]  # neighbours that have not peeled it
+    height = [-1] * n  # peeling round
+    parent = [-1] * n
+    partner = [-1] * n
+    peel = [v for v in range(n) if left[v] <= 1]
+    for v in peel:
+        height[v] = 0
+    for v in peel:  # grows while iterating: round by round
+        h = height[v]
+        for w in adj[v]:
+            hw = height[w]
+            if hw < 0:
+                left[w] -= 1
+                if left[w] == 1:
+                    height[w] = h + 1
+                    peel.append(w)
+                parent[v] = w
+            elif hw > h:
+                parent[v] = w
+            elif hw == h:
+                partner[v] = w
+    if len(peel) < n:
+        return None  # a cycle never peels
+
+    codes = {(): 0}  # sorted child codes -> code; leaves get 0
+    code = [0] * n
+    kids: list[list[int]] = [[] for _ in range(n)]
+    roots = []
+    total = 1
+    for v in peel:  # children before parents
+        ks = kids[v]
+        if ks:
+            if len(ks) > 1:
+                ks.sort()
+                run = 1
+                for prev, kid in zip(ks, ks[1:]):
+                    run = run + 1 if kid == prev else 1
+                    total *= run  # a run of k equal codes gives 2*3*...*k = k!
+            code[v] = codes.setdefault(tuple(ks), len(codes))
+        u = parent[v]
+        if u >= 0:
+            kids[u].append(code[v])
+        else:
+            roots.append(v)
+
+    trees: Counter[tuple[int, ...]] = Counter()
+    for v in roots:
+        x = partner[v]
+        if x < 0:
+            trees[(code[v],)] += 1
+        elif v < x:
+            trees[(min(code[v], code[x]), max(code[v], code[x]))] += 1
+            if code[v] == code[x]:
+                total *= 2
+    for k in trees.values():
+        total *= math.factorial(k)
+    return total, code, parent, partner, peel
 
 
 def forest_automorphism_count(g: Graph) -> int | None:
-    """|Aut(g)| for a forest, from rooted canonical codes; None if g has a
-    cycle.
-
-    Each tree is rooted at its centre, or cut at its central edge into two
-    halves rooted at the bicentre, which doubles the order when the halves
-    are isomorphic.  The forest's order is the product of its trees' orders
-    times k! for every k pairwise isomorphic trees.  Nothing is enumerated,
-    so there is no size bound.
-    """
-    comps = g.components()
-    if g.m != g.n - len(comps):
-        return None
-    codes: dict[tuple[int, ...], int] = {}
-    tree_codes = []
-    total = 1
-    for comp in comps:
-        centres = _tree_centres(g, comp)
-        if len(centres) == 1:
-            code, aut = _rooted_code(g, centres[0], -1, codes)
-            tree_codes.append((code,))
-        else:
-            x, y = centres
-            cx, ax = _rooted_code(g, x, y, codes)
-            cy, ay = _rooted_code(g, y, x, codes)
-            aut = ax * ay * (2 if cx == cy else 1)
-            tree_codes.append((min(cx, cy), max(cx, cy)))
-        total *= aut
-    for k in Counter(tree_codes).values():
-        total *= math.factorial(k)
-    return total
+    """|Aut(g)| for a forest (see :func:`_forest_codes`); None if g has a
+    cycle.  It skips the orbit labels of :func:`forest_symmetry`."""
+    codes = _forest_codes(g)
+    return None if codes is None else codes[0]
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@ The order-p search takes the lexicographically first automorphism of order
 p, so the labels of every reduced graph are deterministic; it visits only
 partial maps that can still become an element of order p.  Its answer is
 checked against |Aut| by Cauchy's theorem (an element of order p exists iff
-p divides it).  On forests of every size |Aut| comes exactly from canonical
-codes, and on other graphs of at most 8 vertices from the listed group;
+p divides it).  On forests of every size one canonical-code pass per step
+(:func:`~modhom.graphs.forest_symmetry`) gives |Aut| exactly and also seeds
+the search with the orbit classes and the rooting it prunes by; on other
+graphs of at most 8 vertices |Aut| comes from the listed group;
 larger graphs with cycles go unchecked.  Above 8 vertices a known |Aut|
 that p does not divide answers None without searching.  No vertex count
 limits the search: its placements count against the state budget.
@@ -29,7 +31,7 @@ from .graphs import (
     Permutation,
     are_isomorphic,
     automorphism_group,
-    forest_automorphism_count,
+    forest_symmetry,
     iter_automorphisms,
 )
 
@@ -43,17 +45,19 @@ def find_order_p_automorphism(h: Graph, p: int) -> Permutation | None:
     The search lists only elements of order p (see
     :func:`iter_automorphisms`) and is checked against |Aut(h)| by Cauchy's
     theorem: an element of order p exists iff p divides the group order.
-    The order comes from canonical codes on every forest and from the full
-    group on any other graph of at most 8 vertices.  Up to 8 vertices the
-    search always runs and the check is two-sided.  Above that a known
-    order that p does not divide answers None at once, and an empty search
-    where p divides it fails the check.  Past the state budget the search
-    raises :class:`BudgetExceededError`.
+    On a forest one :func:`forest_symmetry` pass gives the order; the pass
+    is kept on the graph, and the search reads it rather than making it
+    again.  On any other graph of at most 8 vertices the order comes from
+    the full group.  Up to 8 vertices the search always runs and the check
+    is two-sided.  Above that a known order that p does not divide answers
+    None at once, and an empty search where p divides it fails the check.
+    Past the state budget the search raises :class:`BudgetExceededError`.
     """
     from .counting import _assert_prime
 
     _assert_prime(p)
-    group_order = forest_automorphism_count(h)
+    symmetry = forest_symmetry(h)
+    group_order = None if symmetry is None else symmetry.order
     if group_order is None and h.n <= FULL_GROUP_BOUND:
         group_order = len(automorphism_group(h))
     if group_order is not None and group_order % p and h.n > FULL_GROUP_BOUND:

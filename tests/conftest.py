@@ -56,6 +56,16 @@ def flat_automorphisms(g: Graph) -> list[tuple[int, ...]]:
     ]
 
 
+def flat_order(images: tuple[int, ...]) -> int:
+    """Smallest k >= 1 with images^k the identity, by repeated composition."""
+    identity = tuple(range(len(images)))
+    power, k = images, 1
+    while power != identity:
+        power = tuple(images[v] for v in power)
+        k += 1
+    return k
+
+
 def flat_marked_isomorphic(
     a: Graph, marks_a: Sequence[int], b: Graph, marks_b: Sequence[int]
 ) -> bool:

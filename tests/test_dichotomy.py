@@ -22,7 +22,7 @@ from conftest import (
     simple_paths,
     spider,
 )
-from modhom import dichotomy
+from modhom import dichotomy, graphs
 from modhom.counting import count_homs
 from modhom.dichotomy import (
     AbPath,
@@ -32,7 +32,7 @@ from modhom.dichotomy import (
     count_homs_polytime,
     find_ab_path,
 )
-from modhom.errors import InputError
+from modhom.errors import InputError, state_budget_scope
 from modhom.graphs import (
     Graph,
     complete_bipartite_graph,
@@ -320,6 +320,54 @@ def test_classify_matches_a_naive_reduction_beyond_twelve_vertices(t, p):
     assert cls.verdict == ("PolyTime" if forest_of_stars(reduced) else "Hard")
     if cls.verdict == "Hard":
         check_certificate_path(reduced, cls.certificate, p)
+
+
+# A 37-vertex tree with |Aut| = 2,949,120 = 2^16 * 3^2 * 5 whose labels put
+# many leaves before their parents; its order-5 search once needed more
+# than 10^8 placements.
+T37 = Graph.make(37, [
+    (0, 4), (1, 23), (2, 27), (3, 34), (4, 27), (4, 32), (5, 13), (5, 14),
+    (5, 34), (5, 35), (6, 33), (7, 25), (8, 31), (9, 17), (10, 34), (11, 20),
+    (12, 19), (13, 20), (13, 23), (13, 25), (13, 27), (13, 31), (15, 23),
+    (16, 22), (17, 31), (17, 36), (18, 27), (19, 23), (19, 26), (20, 22),
+    (20, 30), (21, 31), (22, 28), (24, 25), (25, 33), (29, 33),
+])
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_classify_answers_a_tree_with_many_leaves_before_parents(p):
+    with state_budget_scope(10**6):
+        cls = classify(T37, p)
+    assert flat_tree_code(cls.reduced.result) == flat_tree_reduced_code(T37, p)
+
+
+def test_classify_runs_no_colour_refinement_on_forests(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("colour refinement ran on a forest")
+
+    monkeypatch.setattr(graphs, "_stable_colours", refuse)
+    cls = classify(path_graph(2400), 2)
+    assert cls.verdict == "PolyTime" and cls.reduced.result.n == 0
+
+
+def test_classify_cross_checks_every_non_star_component(monkeypatch):
+    calls = []
+    built = dichotomy._diameter_path_certificate
+
+    def spy(h, p):
+        calls.append((h.n, p))
+        return built(h, p)
+
+    monkeypatch.setattr(dichotomy, "_diameter_path_certificate", spy)
+    # P5 reduces to itself mod 3; mod 2 its reflection leaves the centre
+    assert classify(path_graph(5), 3).verdict == "Hard"
+    assert calls == [(5, 3)]
+    calls.clear()
+    # two non-star trees side by side, and a star that is skipped
+    h = Graph.make(12, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7), (7, 8),
+                        (9, 10), (9, 11)])
+    assert classify(h, 3).verdict == "Hard"
+    assert calls == [(4, 3), (5, 3)]
 
 
 def test_classification_json_round_trip_keys():

@@ -11,7 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import flat_automorphisms, flat_marked_isomorphic, flat_structure
+from conftest import (
+    flat_automorphisms,
+    flat_marked_isomorphic,
+    flat_order,
+    flat_structure,
+)
 from modhom.errors import InputError
 from modhom.graphs import (
     BipartiteGraph,
@@ -27,6 +32,7 @@ from modhom.graphs import (
     complete_graph,
     cycle_graph,
     forest_automorphism_count,
+    forest_symmetry,
     iter_automorphisms,
     nonisomorphic_trees,
     parse_graph,
@@ -79,6 +85,9 @@ def test_graph_basic_invariants():
     assert g.degree_sequence() == (1, 1, 1, 1, 2)  # sorted ascending
     assert g.components() == ((0, 1, 2), (3, 4))
     assert not g.is_connected()
+    assert Graph.make(0).is_connected() and Graph.make(1).is_connected()
+    assert not Graph.make(3, [(0, 1)]).is_connected()
+    assert path_graph(6).relabel([3, 5, 0, 4, 1, 2]).is_connected()
     assert g.distance(0, 2) == 2
     assert g.distance(0, 3) is None
 
@@ -261,16 +270,6 @@ def test_iter_automorphisms_matches_flat_oracle_in_order(g):
     assert [a.images for a in iter_automorphisms(g)] == flat_automorphisms(g)
 
 
-def _naive_order(images: tuple[int, ...]) -> int:
-    """Smallest k >= 1 with images^k the identity, by repeated composition."""
-    identity = tuple(range(len(images)))
-    power, k = images, 1
-    while power != identity:
-        power = tuple(images[v] for v in power)
-        k += 1
-    return k
-
-
 @given(graphs_up_to(7), st.sampled_from((2, 3, 5, 7)))
 @example(Graph.make(0), 2)
 @example(Graph.make(7), 7)
@@ -280,7 +279,7 @@ def _naive_order(images: tuple[int, ...]) -> int:
 @example(complete_graph(6), 5)
 @settings(max_examples=120, deadline=None)
 def test_order_restricted_search_matches_flat_oracle_in_order(g, p):
-    expected = [a for a in flat_automorphisms(g) if _naive_order(a) == p]
+    expected = [a for a in flat_automorphisms(g) if flat_order(a) == p]
     assert [a.images for a in iter_automorphisms(g, order=p)] == expected
 
 
@@ -294,6 +293,55 @@ def test_order_restricted_search_rejects_orders_below_two():
 @settings(max_examples=80, deadline=None)
 def test_forest_automorphism_count_matches_flat_oracle(g):
     assert forest_automorphism_count(g) == len(flat_automorphisms(g))
+
+
+@given(forests_up_to(8))
+@example(Graph.make(0))
+@example(Graph.make(4))  # isolated vertices only
+@example(Graph.make(5, [(0, 1), (1, 2)]))  # a path beside isolated vertices
+@example(Graph.make(6, [(3, 0), (0, 5), (5, 1)]).relabel([2, 4, 0, 5, 1, 3]))
+@example(Graph.make(5, [(0, 1), (0, 2), (0, 3), (1, 4)]))  # unequal bicentre halves
+@example(Graph.make(8, [(0, 1), (0, 2), (1, 3), (4, 5), (4, 6), (5, 7)]))
+@example(Graph.make(9, [(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8)]))
+@example(Graph.make(9, [(8, 0), (8, 3), (8, 5), (0, 7), (3, 1), (5, 2), (7, 4), (6, 4)]))
+@settings(max_examples=40, deadline=None)
+def test_forest_symmetry_matches_flat_oracle(g):
+    """The group order counts the automorphisms, and two vertices share an
+    orbit class iff some automorphism maps one onto the other.  Random
+    forests stop at 8 vertices, where the oracle tries 8! maps; the examples
+    reach 9."""
+    sym = forest_symmetry(g)
+    auts = flat_automorphisms(g)
+    assert sym is not None and sym.order == len(auts)
+    for u in range(g.n):
+        images = {a[u] for a in auts}
+        assert images == {v for v in range(g.n) if sym.orbit[v] == sym.orbit[u]}
+    for v in range(g.n):  # every automorphism keeps the rooting
+        for a in auts:
+            u = sym.parent[v]
+            assert sym.parent[a[v]] == (-1 if u < 0 else a[u])
+            x = sym.partner[v]
+            assert sym.partner[a[v]] == (-1 if x < 0 else a[x])
+
+
+def test_forest_symmetry_roots_at_the_centre():
+    sym = forest_symmetry(path_graph(5))
+    assert sym.parent == (1, 2, -1, 2, 3) and sym.partner == (-1,) * 5
+    sym = forest_symmetry(path_graph(4))
+    assert sym.parent == (1, -1, -1, 2) and sym.partner == (-1, 2, 1, -1)
+    assert sym.order == 2 and sym.orbit[1] == sym.orbit[2]
+    # unequal halves at the central edge 0-1: no vertex swaps with another
+    sym = forest_symmetry(Graph.make(5, [(0, 1), (0, 2), (0, 3), (1, 4)]))
+    assert sym.partner[:2] == (1, 0) and sym.order == 2
+    assert sym.orbit[0] != sym.orbit[1] and sym.orbit[2] == sym.orbit[3]
+    # a half of the double star matches a half of P4, but the trees differ
+    sym = forest_symmetry(
+        Graph.make(9, [(0, 1), (1, 2), (2, 3), (4, 5), (4, 6), (5, 7), (5, 8)])
+    )
+    assert sym.partner[4:6] == (5, 4) and sym.orbit[1] == sym.orbit[2]
+    assert sym.orbit[4] not in (sym.orbit[1], sym.orbit[5])
+    assert forest_symmetry(cycle_graph(4)) is None
+    assert forest_symmetry(Graph.make(5, [(3, 4)] + cycle_graph(3).sorted_edges())) is None
 
 
 def test_forest_automorphism_count_matches_group_on_all_small_trees():

@@ -6,7 +6,14 @@ import random
 
 import pytest
 
-from conftest import flat_hom_count, rand_graph, spider
+from conftest import (
+    flat_automorphisms,
+    flat_hom_count,
+    flat_order,
+    rand_graph,
+    rand_tree,
+    spider,
+)
 from modhom.counting import count_homs
 from modhom.errors import BudgetExceededError, InputError, state_budget_scope
 from modhom.graphs import (
@@ -19,7 +26,7 @@ from modhom.graphs import (
     path_graph,
     star_graph,
 )
-from modhom import reduction
+from modhom import graphs, reduction
 from modhom.reduction import (
     find_order_p_automorphism,
     fixed_subgraph,
@@ -99,6 +106,74 @@ def test_spurious_element_at_full_group_size_fails_the_cauchy_check(monkeypatch)
     )
     with pytest.raises(AssertionError, match="Cauchy criterion violated"):
         find_order_p_automorphism(p3, 3)
+
+
+def _copies_under_a_hub(branch: Graph, copies: int) -> Graph:
+    edges = []
+    for c in range(copies):
+        base = 1 + c * branch.n
+        edges.append((0, base))
+        edges += [(base + u, base + v) for u, v in branch.edges]
+    return Graph.make(1 + copies * branch.n, edges)
+
+
+def _leaves_first(t: Graph) -> Graph:
+    """Relabel so that vertices far from vertex 0 get the smallest ids:
+    every leaf comes before its parent."""
+    depth = {0: 0}
+    queue = [0]
+    for v in queue:
+        for w in sorted(t.neighbors(v)):
+            if w not in depth:
+                depth[w] = depth[v] + 1
+                queue.append(w)
+    ranked = sorted(range(t.n), key=lambda v: (-depth[v], v))
+    images = [0] * t.n
+    for new, v in enumerate(ranked):
+        images[v] = new
+    return t.relabel(images)
+
+
+def test_order_p_element_is_the_lex_first_of_the_flat_group():
+    """On forests of up to 9 vertices the element found is the first
+    non-identity element of order p among all n! maps in lexicographic
+    order, or None when there is none."""
+    rng = random.Random(RNG_SEED + 2)
+    forests = [Graph.make(0), Graph.make(3)]
+    forests += [  # many copies of a branch, leaves placed before parents
+        _leaves_first(_copies_under_a_hub(path_graph(2), 4)),
+        _leaves_first(_copies_under_a_hub(star_graph(2), 2)),
+        _leaves_first(_copies_under_a_hub(path_graph(1), 5)),
+        _leaves_first(_copies_under_a_hub(path_graph(2), 3)),
+        _leaves_first(_copies_under_a_hub(star_graph(1), 3)),
+    ]
+    for _ in range(50):
+        n = rng.randint(1, 8)
+        if rng.random() < 0.5:
+            edges = [(v, rng.randrange(v)) for v in range(1, n) if rng.random() < 0.85]
+            g = Graph.make(n, edges)
+        else:
+            copies = rng.randint(2, 4)
+            g = _copies_under_a_hub(rand_tree(rng, rng.randint(1, 7 // copies)), copies)
+        images = list(range(g.n))
+        rng.shuffle(images)
+        forests.append(g.relabel(images))
+    for g in forests:
+        auts = flat_automorphisms(g)
+        for p in (2, 3, 5):
+            found = find_order_p_automorphism(g, p)
+            first = next((a for a in auts if flat_order(a) == p), None)
+            assert (found and found.images) == first
+
+
+def test_one_symmetry_pass_per_step(monkeypatch):
+    # the Cauchy check and the search read the same pass, kept on the graph
+    calls = []
+    real = graphs._symmetry_pass
+    monkeypatch.setattr(graphs, "_symmetry_pass", lambda g: calls.append(g) or real(g))
+    spider3 = spider(2, 2, 2)
+    assert find_order_p_automorphism(spider3, 3) is not None
+    assert calls == [spider3]
 
 
 def test_long_path_has_its_reflection():
