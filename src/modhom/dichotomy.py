@@ -7,10 +7,20 @@ anything else is out of scope for the classifier (verdict ``Unknown``).
 
 The hardness certificate is a path x_0..x_k with endpoint degrees a, b not
 congruent to 1 mod p, every interior degree congruent to 1, and no second
-path joining its endpoints.  ``AbPath.validate`` re-checks all of this
-directly against the graph, so certificates stand on their own.  A path is
-the only one joining its ends iff every edge on it is a bridge (Tarjan, IPL
-1974); the uniqueness test is linear in the graph and needs no budget.
+path joining its endpoints.  A path is the only one joining its ends iff
+every edge on it is a bridge (Tarjan, IPL 1974), so certificates are the
+paths of the bridge forest whose ends and interior have the right degrees
+in the graph.  On a tree every edge is a bridge; otherwise one iterative
+low-link pass finds them.  Three linear scans of that forest then give the
+least certificate by (k, vertex sequence): a breadth-first search from all
+ends at once for the least k, the least end x_0 that starts a length-k
+certificate, and the lexicographically least length-k path from x_0.  The
+whole search is O(n + m), with no enumeration of candidate paths, so it
+needs no state budget.
+
+``AbPath.validate`` re-checks every condition directly against the graph,
+testing uniqueness by a search that does not read the bridges, so
+certificates stand on their own.
 
 ``classify`` analyses the reduced target's structure once and reads the
 decomposition, the forest test and each component's star test from that one
@@ -20,13 +30,13 @@ against a certificate built from a diameter path.  ``find_ab_path`` counts
 |Aut| to decide that; ``classify`` need not, since the reduction stopped on
 a passed Cauchy check, so p divides |Aut| of no component of the reduced
 forest.  It also searches a reduced forest that is one tree in place, with
-no relabelled copy.
+no relabelled copy, and then validates its certificate once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Collection, Sequence
 
 from .counting import _assert_prime, HomCount, ZpScalar
 from .errors import InputError
@@ -49,25 +59,27 @@ def _is_only_path(h: Graph, vs: Sequence[int]) -> bool:
     A second path leaves ``vs`` at some x_i and first returns at some
     x_j != x_i without using an edge of ``vs``, so one exists iff two
     vertices of ``vs`` are joined once the path's own edges are removed.
-    One search labelled by its starting path vertex decides that in
-    O(n + m).
+    One search from each x_i, labelling what it reaches with i, decides
+    that in O(n + m).  The test reads no bridges, so it checks the
+    bridge-forest search independently.
     """
-    path_edges = set(zip(vs, vs[1:])) | set(zip(vs[1:], vs))
-    owner: dict[int, int] = {}
-    for x in vs:
-        if x in owner:
+    # index of the search that reached each vertex; a path vertex starts
+    # with its own, so a search that meets another path vertex fails
+    label = [-1] * h.n
+    for i, x in enumerate(vs):
+        if label[x] >= 0:
             return False
-        owner[x] = x
-        stack = [x]
-        while stack:
-            y = stack.pop()
-            for z in h.neighbors(y):
-                if (y, z) in path_edges:
-                    continue
-                if z not in owner:
-                    owner[z] = x
-                    stack.append(z)
-                elif owner[z] != x:
+        label[x] = i
+    neighbors = h.neighbors
+    for i, x in enumerate(vs):
+        path_nbrs = (vs[i - 1] if i else x, vs[i + 1] if i + 1 < len(vs) else x)
+        reached = [x]
+        for y in reached:  # grows while iterating: breadth-first
+            for z in neighbors(y):
+                if label[z] < 0:
+                    label[z] = i
+                    reached.append(z)
+                elif label[z] != i and (y != x or z not in path_nbrs):
                     return False
     return True
 
@@ -132,17 +144,20 @@ def _diameter_path_certificate(h: Graph, p: int) -> tuple[int, ...]:
     path d_0..d_L, set x_i = d_{i+1}, and stop at the first vertex whose
     degree is not 1 mod p."""
 
-    def farthest(src: int) -> tuple[int, dict[int, int]]:
-        parent = {src: src}
+    neighbors = h.neighbors
+
+    def farthest(src: int) -> tuple[int, list[int]]:
+        # in a tree each vertex has one BFS parent, whatever the visit order
+        parent = [-1] * h.n
+        parent[src] = src
         frontier = [src]
         while frontier:
-            last, nxt = frontier, []
-            for x in frontier:
-                for y in sorted(h.neighbors(x)):
-                    if y not in parent:
+            last, frontier = frontier, []
+            for x in last:
+                for y in neighbors(x):
+                    if parent[y] < 0:
                         parent[y] = x
-                        nxt.append(y)
-            frontier = nxt
+                        frontier.append(y)
         return min(last), parent
 
     u, _ = farthest(0)
@@ -161,35 +176,108 @@ def _diameter_path_certificate(h: Graph, p: int) -> tuple[int, ...]:
     )
 
 
-def _candidate_paths_from(
-    h: Graph, u: int, p: int
-) -> Iterator[tuple[int, ...]]:
-    """Breadth-first paths from ``u`` that are certificate shapes.
+def _bridge_forest(nbrs: Sequence[Collection[int]]) -> list[list[int]]:
+    """Each vertex's neighbours across the bridges of a connected graph,
+    given by its neighbour sets.
 
-    The search passes only through vertices of degree 1 mod p, since a
-    certificate's interior must, and stops at every other vertex, which is
-    an endpoint; the parent map gives one path to each endpoint reached.
-    In a tree that path is the only one.  In a graph with a cycle it is a
-    certificate iff no second simple path joins its ends, which the caller
-    checks.
+    One iterative low-link pass (Tarjan 1974): the tree edge into v is a
+    bridge iff no back edge from v's subtree climbs above v.
     """
-    parent = {u: u}
-    frontier = [u]
-    while frontier:
-        nxt = []
+    n = len(nbrs)
+    forest: list[list[int]] = [[] for _ in range(n)]
+    order = [0] * n  # discovery time from 1; 0 while unseen
+    low = [0] * n
+    order[0] = low[0] = clock = 1
+    stack = [(0, -1, iter(nbrs[0]))]
+    while stack:
+        v, up, rest = stack[-1]
+        for w in rest:
+            if not order[w]:
+                clock += 1
+                order[w] = low[w] = clock
+                stack.append((w, v, iter(nbrs[w])))
+                break
+            if w != up and order[w] < low[v]:
+                low[v] = order[w]
+        else:
+            stack.pop()
+            if up >= 0:
+                low[up] = min(low[up], low[v])
+                if low[v] > order[up]:
+                    forest[v].append(up)
+                    forest[up].append(v)
+    return forest
+
+
+def _least_certificate(
+    forest: Sequence[Collection[int]], unit: Sequence[bool]
+) -> tuple[int, ...] | None:
+    """The least certificate by (length, vertex sequence), or None.
+
+    ``forest`` is the bridge forest and ``unit[v]`` says whether v's degree
+    is 1 mod p, so a certificate is a path of the forest whose interior is
+    unit and whose two ends are not.  Three linear scans find it:
+
+    1. A breadth-first search from every end at once, through unit
+       vertices, gives each unit vertex the two nearest distinct ends that
+       reach it.  Two are enough: an end t beside it needs the nearest end
+       other than t.  The first layer that meets an end other than its
+       source gives the least length k, and every end of a length-k
+       certificate is met there, as a source or as the end met.
+    2. x_0 is the least of those ends.
+    3. A search from x_0 to depth k marks the ancestors of the depth-k ends;
+       walking down from x_0 to the least marked child each time gives the
+       lexicographically least length-k path.
+    """
+    n = len(forest)
+    first = [-1] * n  # the nearest end to reach each unit vertex
+    second = [-1] * n  # the next distinct end to reach it
+    layer = [(v, v) for v in range(n) if not unit[v]]
+    k = 0
+    met: list[int] = []
+    while layer and not met:
+        k += 1
+        deeper = []
+        for v, src in layer:
+            for w in forest[v]:
+                if not unit[w]:
+                    if w != src:
+                        met += (src, w)
+                elif first[w] < 0:
+                    first[w] = src
+                    deeper.append((w, src))
+                elif second[w] < 0 and first[w] != src:
+                    second[w] = src
+                    deeper.append((w, src))
+        layer = deeper
+    if not met:
+        return None
+
+    # No end lies nearer to x_0 than k, so every vertex above depth k is
+    # unit and the search may pass through all of them.
+    x0 = min(met)
+    parent = [-1] * n
+    parent[x0] = x0
+    frontier = [x0]
+    for _ in range(k):
+        below = []
         for x in frontier:
-            for y in h.neighbors(x):
-                if y in parent:
-                    continue
-                parent[y] = x
-                if h.degree(y) % p == 1:
-                    nxt.append(y)
-                    continue
-                path = [y]
-                while path[-1] != u:
-                    path.append(parent[path[-1]])
-                yield tuple(reversed(path))
-        frontier = nxt
+            for y in forest[x]:
+                if parent[y] < 0:
+                    parent[y] = x
+                    below.append(y)
+        frontier = below
+    marked = [False] * n
+    for t in frontier:
+        if not unit[t]:
+            while not marked[t]:
+                marked[t] = True
+                t = parent[t]
+    path = [x0]
+    for _ in range(k):
+        x = path[-1]
+        path.append(min(y for y in forest[x] if marked[y] and parent[y] == x))
+    return tuple(path)
 
 
 def _is_star(h: Graph, tree: Sequence[int]) -> bool:
@@ -210,29 +298,24 @@ def find_ab_path(h: Graph, p: int) -> AbPath | None:
     _assert_prime(p)
     if h.n == 0 or not h.is_connected():
         raise InputError("certificate search expects a connected graph")
-    is_tree = h.m == h.n - 1
     cross_check = (
-        is_tree
+        h.m == h.n - 1
         and not _is_star(h, range(h.n))
         and forest_automorphism_count(h) % p != 0
     )
-    return _ab_path(h, p, is_tree, cross_check)
+    return _ab_path(h, p, cross_check)
 
 
-def _ab_path(h: Graph, p: int, is_tree: bool, cross_check: bool) -> AbPath | None:
+def _ab_path(h: Graph, p: int, cross_check: bool) -> AbPath | None:
     """The search of :func:`find_ab_path` on a connected graph, with the
     diameter-path cross-check when ``cross_check`` says a certificate must
-    exist: ``h`` is a non-star tree whose |Aut| p does not divide."""
-    best = min(
-        (
-            (len(path) - 1, path)
-            for u in range(h.n)
-            if h.degree(u) % p != 1
-            for path in _candidate_paths_from(h, u, p)
-            if is_tree or _is_only_path(h, path)
-        ),
-        default=None,
-    )
+    exist: ``h`` is a non-star tree whose |Aut| p does not divide.  A
+    certificate it returns has been validated against ``h``."""
+    nbrs = list(map(h.neighbors, h.vertices()))
+    unit = [len(a) % p == 1 for a in nbrs]
+    # on a tree every edge is a bridge
+    forest = nbrs if h.m == h.n - 1 else _bridge_forest(nbrs)
+    best = _least_certificate(forest, unit)
 
     if cross_check:
         built = AbPath.from_path(h, _diameter_path_certificate(h, p), p)
@@ -245,7 +328,7 @@ def _ab_path(h: Graph, p: int, is_tree: bool, cross_check: bool) -> AbPath | Non
 
     if best is None:
         return None
-    path = AbPath.from_path(h, best[1], p)
+    path = AbPath.from_path(h, best, p)
     path.validate(h)
     return path
 
@@ -344,35 +427,41 @@ def classify(h: Graph, p: int) -> Classification:
         # The reduction stopped on a passed Cauchy check, so p does not
         # divide |Aut(hstar)|, nor |Aut| of any component, which embeds in
         # it: every non-star component gets the diameter-path cross-check
-        # without recounting.
-        single = len(rep.components) == 1
+        # without recounting.  _ab_path validates each certificate it
+        # returns; only a certificate relabelled from a component's copy
+        # into hstar is validated again, on hstar.
         best: AbPath | None = None
-        for comp in rep.components:
-            if _is_star(hstar, comp):
-                continue
-            tree = hstar if single else hstar.induced(comp)
-            local = _ab_path(tree, p, is_tree=True, cross_check=True)
-            if local is None:
-                continue
-            mapped = AbPath(
-                vertices=tuple(comp[i] for i in local.vertices),
-                a=local.a,
-                b=local.b,
-                p=p,
-            )
-            if best is None or (mapped.k, mapped.vertices) < (best.k, best.vertices):
-                best = mapped
+        single = len(rep.components) == 1
+        if single:
+            if not rep.is_star:
+                best = _ab_path(hstar, p, cross_check=True)
+        else:
+            for comp in rep.components:
+                if _is_star(hstar, comp):
+                    continue
+                local = _ab_path(hstar.induced(comp), p, cross_check=True)
+                if local is None:
+                    continue
+                mapped = AbPath(
+                    vertices=tuple(comp[i] for i in local.vertices),
+                    a=local.a,
+                    b=local.b,
+                    p=p,
+                )
+                if best is None or (mapped.k, mapped.vertices) < (best.k, best.vertices):
+                    best = mapped
         if best is None:
             raise RuntimeError(
                 "internal verification failure: reduced forest is not "
                 "complete bipartite yet no certificate path was found"
             )
-        try:
-            best.validate(hstar)
-        except InputError as exc:  # pragma: no cover - guards our own search
-            raise RuntimeError(
-                f"internal verification failure: certificate invalid ({exc})"
-            ) from exc
+        if not single:
+            try:
+                best.validate(hstar)
+            except InputError as exc:  # pragma: no cover - guards our own search
+                raise RuntimeError(
+                    f"internal verification failure: certificate invalid ({exc})"
+                ) from exc
         return Classification(
             p=p,
             verdict="Hard",

@@ -122,6 +122,87 @@ def test_certificate_search_matches_naive_ranking():
             assert (cert.vertices if cert else None) == want
 
 
+def tree_with_cycles(rng: random.Random) -> Graph:
+    """An 8-11-vertex graph with a few cycles and bridges on them: a random
+    tree with 1-3 extra edges, or a cycle with pendant trees hung on it."""
+    n = rng.randint(8, 11)
+    if rng.random() < 0.5:
+        edges = set(rand_tree(rng, n).edges)
+        while len(edges) < n - 1 + rng.randint(1, 3):
+            u, v = sorted(rng.sample(range(n), 2))
+            edges.add((u, v))
+    else:
+        c = rng.randint(3, n - 1)
+        edges = {(i, (i + 1) % c) for i in range(c)}
+        edges |= {(v, rng.randrange(v)) for v in range(c, n)}
+    perm = rng.sample(range(n), n)
+    return Graph.make(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def test_bridge_forest_search_matches_naive_ranking_on_cyclic_graphs():
+    rng = random.Random(RNG_SEED + 2)
+    found = 0
+    for _ in range(150):
+        h = tree_with_cycles(rng)
+        assert h.is_connected() and h.m >= h.n
+        for p in (2, 3, 5, 7):
+            cert = find_ab_path(h, p)
+            want = smallest_certificate(h, p)
+            assert (cert.vertices if cert else None) == want
+            found += want is not None
+    assert found >= 150
+
+
+def test_bridge_forest_holds_exactly_the_bridges():
+    rng = random.Random(RNG_SEED + 3)
+    for _ in range(100):
+        h = tree_with_cycles(rng)
+        forest = dichotomy._bridge_forest([h.neighbors(v) for v in h.vertices()])
+        got = {(u, v) for u in h.vertices() for v in forest[u] if u < v}
+        want = {
+            e for e in h.edges
+            if not Graph.make(h.n, h.edges - {e}).is_connected()
+        }
+        assert got == want
+
+
+def spurred(spine: int, closed: bool) -> Graph:
+    """Spine 0..L-1 (closed into a cycle if ``closed``), a spur L+i on each
+    spine vertex i, a leaf 2L+i on each spur, and one more leaf 3L on spur
+    L.  At p = 2 the spurs are ends and the spine vertices interior, so a
+    scan from each end would cross the whole spine from every spur.  Closed
+    into a cycle, no two spurs are joined by bridges alone, so there is no
+    certificate."""
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    if closed:
+        edges.append((spine - 1, 0))
+    edges += [(i, spine + i) for i in range(spine)]
+    edges += [(spine + i, 2 * spine + i) for i in range(spine)]
+    return Graph.make(3 * spine + 1, edges + [(spine, 3 * spine)])
+
+
+def test_classify_answers_a_spurred_caterpillar():
+    h = spurred(800, closed=False)
+    assert h.n == 2401
+    cls = classify(h, 2)
+    assert cls.verdict == "Hard"
+    cls.certificate.validate(cls.reduced.result)
+
+
+def test_spurred_cycle_has_no_certificate():
+    h = spurred(200, closed=True)
+    assert h.n == 601
+    assert find_ab_path(h, 2) is None
+
+
+@pytest.mark.slow
+def test_certificate_search_scales_to_large_spurred_graphs():
+    cls = classify(spurred(10_000, closed=False), 2)
+    assert cls.verdict == "Hard"
+    cls.certificate.validate(cls.reduced.result)
+    assert find_ab_path(spurred(3_000, closed=True), 2) is None
+
+
 def caterpillar(spine: int) -> Graph:
     """A path of ``spine`` vertices with one pendant leaf on each."""
     return Graph.make(
