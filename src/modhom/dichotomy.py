@@ -23,14 +23,20 @@ testing uniqueness by a search that does not read the bridges, so
 certificates stand on their own.
 
 ``classify`` analyses the reduced target's structure once and reads the
-decomposition, the forest test and each component's star test from that one
-pass.  On every non-star tree that has no order-p automorphism (p does not
-divide its AHU-counted |Aut|), the certificate search is cross-checked
-against a certificate built from a diameter path.  ``find_ab_path`` counts
-|Aut| to decide that; ``classify`` need not, since the reduction stopped on
-a passed Cauchy check, so p divides |Aut| of no component of the reduced
-forest.  It also searches a reduced forest that is one tree in place, with
-no relabelled copy, and then validates its certificate once.
+decomposition, the forest test and the non-star trees (in a forest, the
+components that are not complete bipartite) from that one pass.  Every edge
+of a forest is a bridge, so one search covers the whole reduced forest.  A
+tree reduces to one tree or to nothing (the fixed points of a tree
+automorphism form a subtree), so only forest inputs reach several
+components.
+
+Each non-star tree with no order-p automorphism (p does not divide its
+AHU-counted |Aut|) cross-checks the search: a certificate built from a
+diameter path of that tree is validated on the whole graph, and the
+search's answer must rank no higher.  ``find_ab_path`` counts |Aut| to
+decide that; ``classify`` need not, since the reduction stopped on a passed
+Cauchy check, so p divides |Aut| of no component of the reduced forest.
+Each cross-check stays within its tree, so together they are O(n + m).
 """
 
 from __future__ import annotations
@@ -64,10 +70,11 @@ def _is_only_path(h: Graph, vs: Sequence[int]) -> bool:
     bridge-forest search independently.
     """
     # index of the search that reached each vertex; a path vertex starts
-    # with its own, so a search that meets another path vertex fails
-    label = [-1] * h.n
+    # with its own, so a search that meets another path vertex fails.  The
+    # searches stay in the path's component, and so does the dict.
+    label: dict[int, int] = {}
     for i, x in enumerate(vs):
-        if label[x] >= 0:
+        if x in label:
             return False
         label[x] = i
     neighbors = h.neighbors
@@ -76,10 +83,11 @@ def _is_only_path(h: Graph, vs: Sequence[int]) -> bool:
         reached = [x]
         for y in reached:  # grows while iterating: breadth-first
             for z in neighbors(y):
-                if label[z] < 0:
+                j = label.get(z)
+                if j is None:
                     label[z] = i
                     reached.append(z)
-                elif label[z] != i and (y != x or z not in path_nbrs):
+                elif j != i and (y != x or z not in path_nbrs):
                     return False
     return True
 
@@ -139,28 +147,28 @@ class AbPath:
             raise InputError("endpoint pair is joined by more than one path")
 
 
-def _diameter_path_certificate(h: Graph, p: int) -> tuple[int, ...]:
-    """Constructive certificate path for a non-star tree: take a diameter
-    path d_0..d_L, set x_i = d_{i+1}, and stop at the first vertex whose
-    degree is not 1 mod p."""
+def _diameter_path_certificate(h: Graph, p: int, root: int) -> tuple[int, ...]:
+    """Constructive certificate path for the non-star tree of ``h`` whose
+    least vertex is ``root``: take a diameter path d_0..d_L, set
+    x_i = d_{i+1}, and stop at the first vertex whose degree is not 1 mod
+    p.  The work is linear in that tree, not in ``h``."""
 
     neighbors = h.neighbors
 
-    def farthest(src: int) -> tuple[int, list[int]]:
+    def farthest(src: int) -> tuple[int, dict[int, int]]:
         # in a tree each vertex has one BFS parent, whatever the visit order
-        parent = [-1] * h.n
-        parent[src] = src
+        parent = {src: src}
         frontier = [src]
         while frontier:
             last, frontier = frontier, []
             for x in last:
                 for y in neighbors(x):
-                    if parent[y] < 0:
+                    if y not in parent:
                         parent[y] = x
                         frontier.append(y)
         return min(last), parent
 
-    u, _ = farthest(0)
+    u, _ = farthest(root)
     v, parent = farthest(u)
     diameter = [v]
     while diameter[-1] != u:
@@ -280,12 +288,6 @@ def _least_certificate(
     return tuple(path)
 
 
-def _is_star(h: Graph, tree: Sequence[int]) -> bool:
-    """Whether a tree (given by its vertices) is a star: at most one of its
-    vertices has degree 2 or more."""
-    return sum(1 for v in tree if h.degree(v) >= 2) <= 1
-
-
 def find_ab_path(h: Graph, p: int) -> AbPath | None:
     """Smallest certificate path in a connected graph, or None.
 
@@ -298,32 +300,37 @@ def find_ab_path(h: Graph, p: int) -> AbPath | None:
     _assert_prime(p)
     if h.n == 0 or not h.is_connected():
         raise InputError("certificate search expects a connected graph")
-    cross_check = (
+    # a star has at most one vertex of degree 2 or more
+    must_hold = (
         h.m == h.n - 1
-        and not _is_star(h, range(h.n))
+        and sum(1 for v in h.vertices() if h.degree(v) >= 2) > 1
         and forest_automorphism_count(h) % p != 0
     )
-    return _ab_path(h, p, cross_check)
+    return _ab_path(h, p, [0] if must_hold else [])
 
 
-def _ab_path(h: Graph, p: int, cross_check: bool) -> AbPath | None:
-    """The search of :func:`find_ab_path` on a connected graph, with the
-    diameter-path cross-check when ``cross_check`` says a certificate must
-    exist: ``h`` is a non-star tree whose |Aut| p does not divide.  A
-    certificate it returns has been validated against ``h``."""
+def _ab_path(h: Graph, p: int, trees: Sequence[int]) -> AbPath | None:
+    """The search of :func:`find_ab_path` on a connected graph or a forest,
+    with the diameter-path cross-check on each tree of ``h`` that ``trees``
+    names by its least vertex: a non-star tree whose |Aut| p does not
+    divide, so it holds a certificate.  A certificate it returns has been
+    validated against ``h``."""
     nbrs = list(map(h.neighbors, h.vertices()))
     unit = [len(a) % p == 1 for a in nbrs]
-    # on a tree every edge is a bridge
-    forest = nbrs if h.m == h.n - 1 else _bridge_forest(nbrs)
+    # a connected graph with m < n is a tree, and the only other callers
+    # pass forests: either way every edge is a bridge
+    forest = nbrs if h.m < h.n else _bridge_forest(nbrs)
     best = _least_certificate(forest, unit)
 
-    if cross_check:
-        built = AbPath.from_path(h, _diameter_path_certificate(h, p), p)
-        built.validate(h)
-        if best is None:
+    for root in trees:
+        built = _diameter_path_certificate(h, p, root)
+        AbPath.from_path(h, built, p).validate(h)
+        # a certificate read backwards is one too
+        least = min(built, built[::-1])
+        if best is None or (len(best), best) > (len(least), least):
             raise RuntimeError(
-                "internal verification failure: search missed a "
-                "certificate the tree construction found"
+                "internal verification failure: the tree construction found "
+                "a certificate the search missed"
             )
 
     if best is None:
@@ -422,51 +429,20 @@ def classify(h: Graph, p: int) -> Classification:
             reason="every component of the reduced target is complete bipartite",
         )
 
-    is_forest = hstar.m == hstar.n - len(rep.components)
-    if is_forest:
-        # The reduction stopped on a passed Cauchy check, so p does not
-        # divide |Aut(hstar)|, nor |Aut| of any component, which embeds in
-        # it: every non-star component gets the diameter-path cross-check
-        # without recounting.  _ab_path validates each certificate it
-        # returns; only a certificate relabelled from a component's copy
-        # into hstar is validated again, on hstar.
-        best: AbPath | None = None
-        single = len(rep.components) == 1
-        if single:
-            if not rep.is_star:
-                best = _ab_path(hstar, p, cross_check=True)
-        else:
-            for comp in rep.components:
-                if _is_star(hstar, comp):
-                    continue
-                local = _ab_path(hstar.induced(comp), p, cross_check=True)
-                if local is None:
-                    continue
-                mapped = AbPath(
-                    vertices=tuple(comp[i] for i in local.vertices),
-                    a=local.a,
-                    b=local.b,
-                    p=p,
-                )
-                if best is None or (mapped.k, mapped.vertices) < (best.k, best.vertices):
-                    best = mapped
-        if best is None:
-            raise RuntimeError(
-                "internal verification failure: reduced forest is not "
-                "complete bipartite yet no certificate path was found"
-            )
-        if not single:
-            try:
-                best.validate(hstar)
-            except InputError as exc:  # pragma: no cover - guards our own search
-                raise RuntimeError(
-                    f"internal verification failure: certificate invalid ({exc})"
-                ) from exc
+    if hstar.m == hstar.n - len(rep.components):  # a forest
+        # A tree that is not complete bipartite is not a star.  The
+        # reduction stopped on a passed Cauchy check, so p does not divide
+        # |Aut(hstar)|, nor |Aut| of any component, which embeds in it:
+        # every non-star tree holds a certificate and gets the diameter-path
+        # cross-check without recounting, and the search cannot come back
+        # empty.
+        flags = rep.is_complete_bipartite_per_component
+        trees = [comp[0] for comp, cb in zip(rep.components, flags) if not cb]
         return Classification(
             p=p,
             verdict="Hard",
             reduced=trace,
-            certificate=best,
+            certificate=_ab_path(hstar, p, trees),
             reason="reduced target is a forest with a non-star component",
         )
 

@@ -587,35 +587,42 @@ class StructureReport:
 def analyze_structure(g: Graph) -> StructureReport:
     """Components, bipartition, tree/star flags, complete-bipartite test.
 
-    One breadth-first pass per component finds its vertices, 2-colours them
-    and counts its edges from the degree sum.  The bipartition, when it
-    exists, is deterministic: in each component the minimum vertex gets the
-    first colour.  A single vertex counts as the star K_{1,0} and as a
-    (degenerate) complete bipartite graph.
+    One breadth-first pass per component finds its vertices, 2-colours them,
+    and counts its edges and its vertices of degree 2 or more, reading each
+    neighbour set once.  The bipartition, when it exists, is deterministic:
+    in each component the minimum vertex gets the first colour.  A single
+    vertex counts as the star K_{1,0} and as a (degenerate) complete
+    bipartite graph.
     """
+    adj = g._adj
     colour = [-1] * g.n
     comps: list[tuple[int, ...]] = []
     cb_flags: list[bool] = []
     bipartite = True
+    big = 0  # vertices of degree 2 or more
     for root in range(g.n):
         if colour[root] >= 0:
             continue
         colour[root] = 0
         comp = [root]
         two_coloured = True
+        ends = y = 0  # edge ends, and vertices of the second colour
         for v in comp:  # grows while iterating: breadth-first
-            for w in g.neighbors(v):
+            nbrs = adj[v]
+            ends += len(nbrs)
+            big += len(nbrs) >= 2
+            side = colour[v]
+            y += side
+            for w in nbrs:
                 if colour[w] < 0:
-                    colour[w] = 1 - colour[v]
+                    colour[w] = 1 - side
                     comp.append(w)
-                elif colour[w] == colour[v]:
+                elif colour[w] == side:
                     two_coloured = False
         comp.sort()
         comps.append(tuple(comp))
         bipartite = bipartite and two_coloured
-        y = sum(colour[v] for v in comp)
-        m_comp = sum(g.degree(v) for v in comp) // 2
-        cb_flags.append(two_coloured and m_comp == (len(comp) - y) * y)
+        cb_flags.append(two_coloured and ends // 2 == (len(comp) - y) * y)
 
     bipartition = None
     if bipartite:
@@ -625,7 +632,6 @@ def analyze_structure(g: Graph) -> StructureReport:
         )
 
     is_tree = g.n >= 1 and len(comps) == 1 and g.m == g.n - 1
-    big = sum(1 for v in range(g.n) if g.degree(v) >= 2)
     is_star = is_tree and big <= 1
 
     return StructureReport(

@@ -225,21 +225,21 @@ def test_diameter_cross_check_runs_on_large_trees(monkeypatch):
     calls = []
     built = dichotomy._diameter_path_certificate
 
-    def spy(h, p):
-        calls.append((h.n, p))
-        return built(h, p)
+    def spy(h, p, root):
+        calls.append((h.n, root, p))
+        return built(h, p, root)
 
     monkeypatch.setattr(dichotomy, "_diameter_path_certificate", spy)
     t = spider(2, 3, 4, 5)  # 15 vertices, no symmetry at all
     cert = find_ab_path(t, 3)
     assert cert is not None
-    assert calls == [(15, 3)]
+    assert calls == [(15, 0, 3)]
     # the caterpillar's reflection has order 2, so only other primes check
     calls.clear()
     assert find_ab_path(caterpillar(1200), 3) is not None
-    assert calls == [(2400, 3)]
+    assert calls == [(2400, 0, 3)]
     assert find_ab_path(caterpillar(1200), 2) is not None
-    assert calls == [(2400, 3)]
+    assert calls == [(2400, 0, 3)]
 
 
 def test_only_path_test_matches_path_enumeration():
@@ -339,21 +339,26 @@ def test_reduction_can_rescue_a_cycle():
 TREE_OUTPUT_DIGEST = "939d0fb62cda72682e6ac237f77b3e246f184c7f96fb84e226a5911be2f201c1"
 
 
-def test_classify_outputs_on_trees_up_to_12_are_unchanged():
+def output_digest(targets) -> tuple[str, int]:
+    """SHA-256 over the classify JSON and each reduction step's labels for
+    every target at p = 2, 3, 5, 7, and the number of classify calls."""
     digest = hashlib.sha256()
     ops = 0
-    for n in range(1, 13):
-        for tree in nonisomorphic_trees(n):
-            for p in (2, 3, 5, 7):
-                cls = classify(tree, p)
-                digest.update(json.dumps(cls.to_json(), sort_keys=True).encode())
-                for step in cls.reduced.steps:
-                    digest.update(
-                        repr((step.automorphism.images, step.fixed_vertices)).encode()
-                    )
-                ops += 1
-    assert ops == 3948
-    assert digest.hexdigest() == TREE_OUTPUT_DIGEST
+    for h in targets:
+        for p in (2, 3, 5, 7):
+            cls = classify(h, p)
+            digest.update(json.dumps(cls.to_json(), sort_keys=True).encode())
+            for step in cls.reduced.steps:
+                digest.update(
+                    repr((step.automorphism.images, step.fixed_vertices)).encode()
+                )
+            ops += 1
+    return digest.hexdigest(), ops
+
+
+def test_classify_outputs_on_trees_up_to_12_are_unchanged():
+    trees = (t for n in range(1, 13) for t in nonisomorphic_trees(n))
+    assert output_digest(trees) == (TREE_OUTPUT_DIGEST, 3948)
 
 
 def test_tree_frontier_matches_star_shape():
@@ -435,20 +440,103 @@ def test_classify_cross_checks_every_non_star_component(monkeypatch):
     calls = []
     built = dichotomy._diameter_path_certificate
 
-    def spy(h, p):
-        calls.append((h.n, p))
-        return built(h, p)
+    def spy(h, p, root):
+        calls.append((h.n, root, p))
+        return built(h, p, root)
 
     monkeypatch.setattr(dichotomy, "_diameter_path_certificate", spy)
     # P5 reduces to itself mod 3; mod 2 its reflection leaves the centre
     assert classify(path_graph(5), 3).verdict == "Hard"
-    assert calls == [(5, 3)]
+    assert calls == [(5, 0, 3)]
     calls.clear()
     # two non-star trees side by side, and a star that is skipped
     h = Graph.make(12, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7), (7, 8),
                         (9, 10), (9, 11)])
     assert classify(h, 3).verdict == "Hard"
-    assert calls == [(4, 3), (5, 3)]
+    assert calls == [(12, 0, 3), (12, 4, 3)]
+
+
+def disjoint_union(*parts: Graph) -> Graph:
+    """The parts side by side, each shifted past the ones before it."""
+    edges: list[tuple[int, int]] = []
+    n = 0
+    for g in parts:
+        edges += [(n + u, n + v) for u, v in g.edges]
+        n += g.n
+    return Graph.make(n, edges)
+
+
+def random_forest(rng: random.Random) -> Graph:
+    """2-4 trees side by side, randomly relabelled: isolated vertices,
+    stars, and random trees of 2-8 vertices."""
+    parts = []
+    for _ in range(rng.randint(2, 4)):
+        kind = rng.random()
+        if kind < 0.15:
+            parts.append(Graph.make(1))
+        elif kind < 0.35:
+            parts.append(star_graph(rng.randint(1, 4)))
+        else:
+            parts.append(rand_tree(rng, rng.randint(2, 8)))
+    g = disjoint_union(*parts)
+    return g.relabel(rng.sample(range(g.n), g.n))
+
+
+def test_classify_on_forests_matches_naive_oracle():
+    rng = random.Random(RNG_SEED + 4)
+    several = 0  # Hard reduced forests with two or more non-star trees
+    for _ in range(150):
+        h = random_forest(rng)
+        for p in (2, 3, 5, 7):
+            cls = classify(h, p)
+            reduced = cls.reduced.result
+            assert cls.verdict == ("PolyTime" if forest_of_stars(reduced) else "Hard")
+            if cls.verdict == "Hard":
+                assert cls.certificate.vertices == smallest_certificate(reduced, p)
+                check_certificate_path(reduced, cls.certificate, p)
+                trees = [reduced.induced(comp) for comp in reduced.components()]
+                several += sum(not forest_of_stars(t) for t in trees) >= 2
+    assert several >= 100
+
+
+# SHA-256 over every classify output and reduction step's labels for every
+# forest of two trees with 1..7 vertices (325 pairs) at p = 2, 3, 5, 7.
+# The trees' outputs are pinned above; this pins the labels a forest's
+# certificate search and reduction give.
+FOREST_OUTPUT_DIGEST = "9780331f7951c1256253bb941011fa879f833e019ea3502099f0b89e9c1085e1"
+
+
+def test_classify_outputs_on_two_tree_forests_are_unchanged():
+    trees = [t for n in range(1, 8) for t in nonisomorphic_trees(n)]
+    forests = (disjoint_union(a, b) for i, a in enumerate(trees) for b in trees[i:])
+    assert output_digest(forests) == (FOREST_OUTPUT_DIGEST, 1300)
+
+
+def test_classify_searches_a_forest_once(monkeypatch):
+    searches = []
+    induced = []
+    search = dichotomy._least_certificate
+    restrict = Graph.induced
+
+    def count_search(forest, unit):
+        searches.append(len(forest))
+        return search(forest, unit)
+
+    def count_induced(self, keep):
+        induced.append(self.n)
+        return restrict(self, keep)
+
+    monkeypatch.setattr(dichotomy, "_least_certificate", count_search)
+    monkeypatch.setattr(Graph, "induced", count_induced)
+    # three asymmetric spiders and a claw, whose 3-cycle on its leaves is
+    # the one reduction step mod 3
+    h = disjoint_union(spider(1, 2, 3), spider(1, 2, 4), spider(2, 3, 4), star_graph(3))
+    cls = classify(h, 3)
+    assert cls.verdict == "Hard"
+    assert len(cls.reduced.steps) == 1
+    assert cls.reduced.result.n == 7 + 8 + 10 + 1
+    assert searches == [26]
+    assert induced == [29]
 
 
 def test_classification_json_round_trip_keys():
