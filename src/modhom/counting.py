@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
 from .elimination import partition_sum
@@ -63,7 +62,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
 def _assert_prime(p: int) -> None:
     if not is_prime(p):
         raise InputError(f"modulus {p} is not prime")

@@ -10,21 +10,22 @@ rather than silently grinding.  All values are immutable after construction,
 so every function here is safe to call concurrently.
 
 One search answers both questions: it maps graph a onto graph b, and an
-automorphism is a map from a graph onto itself.  It keeps adjacency as one
-bitmask per vertex, so checking a partial map against the vertices already
-placed is one mask comparison.  It only tries to send a vertex to vertices
-of its own class: every isomorphism preserves those classes, so the
-pruning removes no isomorphism, and with candidates tried in ascending
+automorphism is a map from a graph onto itself.  It keeps one partial map
+and adjacency as one bitmask per vertex, so checking a new arrow v -> w
+against the map is one mask comparison.  It only tries to send a vertex to
+vertices of its own class: every isomorphism preserves those classes, so
+the pruning removes no isomorphism, and with candidates tried in ascending
 order the search yields them in lexicographic order of their image arrays.
 On a forest, :func:`forest_symmetry` makes one pass of AHU canonical codes,
 kept on the graph, that gives the group order exactly, without enumerating
 anything, and the exact orbit classes; the automorphism search uses those
-classes and adds ancestor closure (placing a vertex forces its unplaced
-ancestors).  On every other graph the classes come from stable colour
-refinement (1-WL).
-Asked for the automorphisms of a prime order p, the search also abandons
-every partial map that no element of order p extends: one that closes a
-cycle of another length, or whose moved vertices in some colour class can
+classes and adds ancestor closure: placing a vertex also maps its unmapped
+ancestors.  Closure makes ordinary arrows in the same map, which every
+pruning test sees, and a vertex whose parent is mapped needs none.  On
+every other graph the classes come from stable colour refinement (1-WL).
+Asked for the automorphisms of a prime order p, the search also refuses
+every arrow that no element of order p extends: one that closes a cycle of
+another length, or after which the moved vertices in its colour class can
 no longer reach a multiple of p.
 """
 
@@ -698,29 +699,33 @@ def _iter_isomorphisms(
     """Yield the isomorphisms a -> b that keep colours, as image arrays in
     lexicographic order.
 
-    Vertices 0..n-1 of ``a`` are placed in turn, each on the unused vertices
-    of ``b`` with its colour in ascending order.  Placing v on w is
-    consistent when the images of v's earlier neighbours are exactly w's
-    neighbours among the images placed so far.
+    The search keeps one partial map from ``a`` to ``b``, as an image per
+    vertex and a mask of the images used.  Vertices 0..n-1 of ``a`` are
+    placed in turn, each on the unused vertices of ``b`` with its colour in
+    ascending order; a vertex the map already holds is skipped.  Each
+    placement makes arrows v -> w and records them, so backtracking takes
+    back exactly what it made.  Every arrow passes the same tests: its
+    image is unused and of the same colour, and the images of v's mapped
+    neighbours are exactly w's neighbours among the images used.
 
     A prime ``order`` p is only meaningful when ``b`` is ``a``: then only
     the maps whose cycles all have length 1 or p are yielded (the identity
     among them).  Every cycle stays inside one colour class, so each vertex
-    of a class smaller than p is fixed, and a partial map is abandoned as
-    soon as it closes a cycle of another length, or as soon as the vertices
-    it moves in a class can no longer reach a multiple of p.
+    of a class smaller than p is fixed, and an arrow is refused when it
+    closes a cycle of another length, or when the vertices the map moves in
+    its class can no longer reach a multiple of p.
 
     ``forest``, the :func:`forest_symmetry` of ``a`` when ``b`` is ``a``
     and the colours are its orbit classes, adds ancestor closure: every
     automorphism maps parents to parents and bicentre partners to partners,
-    so placing v on w forces each unplaced ancestor of v onto the matching
-    ancestor of w (and, at a bicentre, the partner onto the partner).  A
-    placement whose forced images clash with placed or earlier forced ones
-    is abandoned, and a vertex with a forced image tries only that image.
-    A vertex placed after its parent needs no closure: the adjacency check
-    already sends it to a child of its parent's image, and its ancestors
-    were closed when its parent was placed.  On a tree rooted at its centre
-    a partial map extends to an automorphism iff its closure is a
+    so placing v on w also makes the arrow from each unmapped ancestor of v
+    to the matching vertex above w, up to the first mapped one (and, at a
+    bicentre, from the root's partner to its image's partner).  These are
+    ordinary arrows in the one map: they pass every test above, the
+    order-p tests included, and later vertices see them as used.  A vertex
+    whose parent is mapped needs no closure: the adjacency test already
+    sends it to a child of its parent's image.  On a tree rooted at its
+    centre a partial map extends to an automorphism iff its closure is a
     consistent injection, so leaves placed before their parents no longer
     multiply the search.
 
@@ -735,8 +740,8 @@ def _iter_isomorphisms(
         return
     budget = state_budget_default()
     placements = 0
-    adj_a = adjacency_masks(a)
-    adj_b = adj_a if b is a else adjacency_masks(b)
+    nbrs = a._adj
+    adj_b = adjacency_masks(b)
     class_mask: dict[int, int] = {}
     for w in range(n):
         class_mask[colour_b[w]] = class_mask.get(colour_b[w], 0) | 1 << w
@@ -746,44 +751,38 @@ def _iter_isomorphisms(
             mask if mask.bit_count() >= order else 1 << v
             for v, mask in enumerate(same_class)
         ]
-    earlier = [[u for u in a._adj[v] if u < v] for v in range(n)]
-    # the vertices that need ancestor closure: roots, and vertices placed
-    # before their parents
-    closing = [False] * n
+    up = partner = (-1,) * n
     if forest is not None:
         up, partner = forest.parent, forest.partner
-        closing = [not 0 <= up[v] < v for v in range(n)]
-    forced = [-1] * n  # forced image of an unplaced vertex, or -1
-    forced_at: list[list[int]] = [[] for _ in range(n)]  # level v: what v forced
-    taken = 0  # forced images
 
-    mapping = [0] * n
+    image = [-1] * n  # the partial map: placed and forced vertices alike
+    used = 0  # its images
+    made: list[list[int]] = [[] for _ in range(n)]  # level v: what its arrows map
     candidates = [0] * n  # level v: untried images for v
-    wanted = [0] * n  # level v: images of v's earlier neighbours
-    used = 0  # images of vertices 0..v-1
+    wanted = [0] * n  # images of r's mapped neighbours, for an arrow from r
     # order-p mode, per colour class: vertices the partial map moves, and
-    # vertices neither placed nor an image yet; per level: what placing v
-    # added to its class
+    # vertices neither mapped nor an image; per vertex: how many vertices
+    # mapping it took out of the free count
     moved = [0] * n
     free = [0] * n
     for c in colour_a:
         free[c] += 1
-    added_moved = [0] * n
-    added_free = [0] * n
+    freed = [0] * n
     v = 0
     candidates[0] = same_class[0]
     while v >= 0:
+        log = made[v]
+        while log:  # take back the last placement at this level
+            r = log.pop()
+            s = image[r]
+            image[r] = -1
+            used ^= 1 << s
+            if order is not None:
+                moved[colour_a[r]] -= freed[r] if s != r else 0
+                free[colour_a[r]] += freed[r]
         cand = candidates[v]
         if not cand:
             v -= 1
-            if v >= 0:
-                used ^= 1 << mapping[v]
-                moved[colour_a[v]] -= added_moved[v]
-                free[colour_a[v]] -= added_free[v]
-                if closing[v]:
-                    for u in forced_at[v]:
-                        taken ^= 1 << forced[u]
-                        forced[u] = -1
             continue
         placements += 1
         if placements > budget:
@@ -793,77 +792,61 @@ def _iter_isomorphisms(
             )
         low = cand & -cand
         candidates[v] = cand ^ low
-        w = low.bit_length() - 1
-        if adj_b[w] & used != wanted[v]:
-            continue
-        if order is not None:
-            if w == v:
-                dm, df = 0, -1
-            else:
-                # the arrow v -> w closes a cycle iff the chain from w
-                # through placed vertices (exactly 0..v-1) comes back to v
-                x, arrows = w, 1
-                while x < v:
-                    x = mapping[x]
+        # make the arrow v -> w, then on a forest one arrow from each
+        # unmapped ancestor of v (then a root's partner) to the matching
+        # vertex above w, until an arrow fails a test; v's candidates are
+        # unused and of v's class
+        r, s = v, low.bit_length() - 1
+        while adj_b[s] & used == wanted[r]:
+            if order is not None:
+                # the arrow r -> s closes a cycle iff the chain of arrows
+                # from s comes back to r
+                x, arrows = s, 1
+                while x != r and image[x] >= 0:
+                    x = image[x]
                     arrows += 1
-                if x == v and arrows != order:
-                    continue
-                # v and w are newly moved unless an arrow already reached v
-                # or w is placed
-                dm = (not used >> v & 1) + (w > v)
-                df = -dm
-            # a class's moved vertices fill p-cycles, so their count must
-            # reach a multiple of p with the free vertices left
-            c = colour_a[v]
-            if -(moved[c] + dm) % order > free[c] + df:
-                continue
-            added_moved[v], added_free[v] = dm, df
-        if closing[v]:
-            # walk up from v and w in step, forcing each unplaced, unforced
-            # vertex; a placed or forced one was closed already
-            closed = forced_at[v]
-            closed.clear()
-            clash = False
-            r, s = v, w
-            while True:
-                u, x = up[r], up[s]
-                if u < 0:  # r and s are roots: pair their partners, last
-                    u, x, r = partner[r], partner[s], -1
-                    if u < 0:
-                        break
+                if x == r and arrows not in (1, order):
+                    break
+                # a fixed r leaves the free count; otherwise r and s are
+                # newly moved unless r is an image or s is mapped
+                if s == r:
+                    dm, gone = 0, 1
                 else:
-                    r, s = u, x
-                f = mapping[u] if u < v else forced[u]
-                if f == x:
+                    dm = gone = (not used >> r & 1) + (image[s] < 0)
+                # a class's moved vertices fill p-cycles, so their count
+                # must reach a multiple of p with the free vertices left
+                c = colour_a[r]
+                if -(moved[c] + dm) % order > free[c] - gone:
                     break
-                if f >= 0 or (used | taken) >> x & 1:
-                    clash = True
-                    break
-                forced[u] = x
-                taken |= 1 << x
-                closed.append(u)
-                if r < 0:
-                    break
-            if clash:
-                for u in closed:
-                    taken ^= 1 << forced[u]
-                    forced[u] = -1
-                continue
-        mapping[v] = w
-        if v == n - 1:
-            yield tuple(mapping)
-            continue
-        used |= low
-        moved[colour_a[v]] += added_moved[v]
-        free[colour_a[v]] += added_free[v]
+                moved[c] += dm
+                free[c] -= gone
+                freed[r] = gone
+            image[r] = s
+            used |= 1 << s
+            log.append(r)
+            u, x = up[r], up[s]
+            if u < 0:
+                u, x = partner[r], partner[s]
+            if u < 0 or image[u] >= 0:
+                r = -1  # no arrow left to make
+                break
+            # x is unused, as the adjacency test on r -> s saw its neighbour
+            # x outside the map, and of u's class, as orbit classes chain
+            # through parents (a class smaller than p fails the moved count)
+            r, s = u, x
+            wanted[r] = sum(1 << image[y] for y in nbrs[r] if image[y] >= 0)
+        if r >= 0:
+            continue  # an arrow failed: the next pass takes back the rest
         v += 1
-        if not taken:
+        while v < n and image[v] >= 0:  # mapped by closure: nothing to place
+            candidates[v] = 0
+            v += 1
+        if v < n:
             candidates[v] = same_class[v] & ~used
-        elif forced[v] >= 0:
-            candidates[v] = same_class[v] & 1 << forced[v]
+            wanted[v] = sum(1 << image[u] for u in nbrs[v] if image[u] >= 0)
         else:
-            candidates[v] = same_class[v] & ~(used | taken)
-        wanted[v] = sum(1 << mapping[u] for u in earlier[v])
+            yield tuple(image)
+            v = n - 1
 
 
 def _as_distinguished(g: Graph | DistinguishedGraph) -> DistinguishedGraph:
@@ -919,9 +902,11 @@ def iter_automorphisms(
     seeded with degrees.  With a prime ``order`` p, only the non-identity
     automorphisms whose cycles all have length 1 or p are yielded: exactly
     the elements of order p, found with the pruning described in
-    :func:`_iter_isomorphisms`.
+    :func:`_iter_isomorphisms`.  Any other order raises :class:`InputError`.
     """
-    if order is not None and order < 2:
+    from .counting import is_prime
+
+    if order is not None and not is_prime(order):
         raise InputError(f"automorphism order {order} is not a prime")
     symmetry = forest_symmetry(g)
     if symmetry is None:

@@ -422,7 +422,7 @@ T37 = Graph.make(37, [
 
 @pytest.mark.parametrize("p", (2, 3, 5))
 def test_classify_answers_a_tree_with_many_leaves_before_parents(p):
-    with state_budget_scope(10**6):
+    with state_budget_scope(10**5):
         cls = classify(T37, p)
     assert flat_tree_code(cls.reduced.result) == flat_tree_reduced_code(T37, p)
 

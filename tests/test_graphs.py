@@ -261,31 +261,46 @@ def test_iter_automorphisms_matches_group():
     assert listed == {a.images for a in automorphism_group(g)}
 
 
-@given(graphs_up_to(7))
+# Forests made of p copies of a branch, labelled so that leaves come before
+# their parents: three two-vertex branches on the centre 5 beside the
+# isolated vertex 4, and two cherries hung from the bicentre 0-5.
+THREE_BRANCHES = Graph.make(8, [(5, 7), (5, 3), (5, 6), (7, 0), (3, 1), (6, 2)])
+TWO_HALVES = Graph.make(8, [(0, 6), (4, 2), (4, 7), (5, 0), (5, 4), (6, 1), (6, 3)])
+
+
+@given(st.one_of(graphs_up_to(7), forests_up_to(8)))
 @example(Graph.make(0))
 @example(Graph.make(7))
 @example(complete_graph(6))
+@example(THREE_BRANCHES)
+@example(TWO_HALVES)
 @settings(max_examples=80, deadline=None)
 def test_iter_automorphisms_matches_flat_oracle_in_order(g):
     assert [a.images for a in iter_automorphisms(g)] == flat_automorphisms(g)
 
 
-@given(graphs_up_to(7), st.sampled_from((2, 3, 5, 7)))
+@given(st.one_of(graphs_up_to(7), forests_up_to(8)), st.sampled_from((2, 3, 5, 7)))
 @example(Graph.make(0), 2)
 @example(Graph.make(7), 7)
 @example(Graph.make(7), 3)
 @example(complete_graph(6), 2)
 @example(complete_graph(6), 3)
 @example(complete_graph(6), 5)
+@example(THREE_BRANCHES, 3)
+@example(TWO_HALVES, 2)
 @settings(max_examples=120, deadline=None)
 def test_order_restricted_search_matches_flat_oracle_in_order(g, p):
     expected = [a for a in flat_automorphisms(g) if flat_order(a) == p]
     assert [a.images for a in iter_automorphisms(g, order=p)] == expected
 
 
-def test_order_restricted_search_rejects_orders_below_two():
+def test_order_restricted_search_rejects_non_prime_orders():
     with pytest.raises(InputError):
         list(iter_automorphisms(path_graph(3), order=1))
+    # C4 beside K2 has four elements of order 4, two of them moving K2
+    c4_k2 = Graph.make(6, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)])
+    with pytest.raises(InputError):
+        list(iter_automorphisms(c4_k2, order=4))
 
 
 @given(forests_up_to(7))
