@@ -33,9 +33,12 @@ components.
 Each non-star tree with no order-p automorphism (p does not divide its
 AHU-counted |Aut|) cross-checks the search: a certificate built from a
 diameter path of that tree is validated on the whole graph, and the
-search's answer must rank no higher.  ``find_ab_path`` counts |Aut| to
-decide that; ``classify`` need not, since the reduction stopped on a passed
-Cauchy check, so p divides |Aut| of no component of the reduced forest.
+search's answer must rank no higher.  ``find_ab_path`` reads connectivity,
+tree and star from the structure report, and on a non-star tree reads |Aut|
+from the forest pass kept on the graph (:func:`~modhom.graphs.forest_symmetry`),
+which the order-p search reuses; ``classify`` need not, since the reduction
+stopped on a passed Cauchy check, so p divides |Aut| of no component of the
+reduced forest.
 Each cross-check stays within its tree, so together they are O(n + m).
 """
 
@@ -46,12 +49,7 @@ from typing import Collection, Sequence
 
 from .counting import _assert_prime, HomCount, ZpScalar
 from .errors import InputError
-from .graphs import (
-    Graph,
-    StructureReport,
-    analyze_structure,
-    forest_automorphism_count,
-)
+from .graphs import Graph, StructureReport, analyze_structure, forest_symmetry
 
 # find_order_p_automorphism is not called here any more; the import stays
 # because perfbench's tracer patches it under this module's name.
@@ -295,16 +293,16 @@ def find_ab_path(h: Graph, p: int) -> AbPath | None:
     deterministic.  On a non-star tree with no order-p automorphism (p does
     not divide |Aut|, by Cauchy's theorem) a certificate always exists, and
     the constructive diameter-path recipe is run as a cross-check in that
-    case, at every size.
+    case, at every size.  Connectivity, tree and star come from
+    :func:`analyze_structure`; |Aut| comes from :func:`forest_symmetry`,
+    whose pass is kept on the graph and made only for a non-star tree.
     """
     _assert_prime(p)
-    if h.n == 0 or not h.is_connected():
+    rep = analyze_structure(h)
+    if len(rep.components) != 1:
         raise InputError("certificate search expects a connected graph")
-    # a star has at most one vertex of degree 2 or more
     must_hold = (
-        h.m == h.n - 1
-        and sum(1 for v in h.vertices() if h.degree(v) >= 2) > 1
-        and forest_automorphism_count(h) % p != 0
+        rep.is_tree and not rep.is_star and forest_symmetry(h).order % p != 0
     )
     return _ab_path(h, p, [0] if must_hold else [])
 

@@ -85,7 +85,8 @@ class Graph:
 
     @cached_property
     def _forest_symmetry(self) -> ForestSymmetry | None:
-        # made once per graph: a reduction step and its search both read it
+        # made once per graph: a reduction step, its search and the
+        # certificate search all read it
         return _symmetry_pass(self)
 
     @property
@@ -195,16 +196,6 @@ class Multigraph:
             mult[e] = mult.get(e, 0) + 1
         return cls(n, tuple(sorted((u, v, c) for (u, v), c in mult.items())))
 
-    @cached_property
-    def _adj(self) -> tuple[dict[int, int], ...]:
-        nbrs: list[dict[int, int]] = [dict() for _ in range(self.n)]
-        for u, v, c in self.edges:
-            if u == v:
-                continue
-            nbrs[u][v] = c
-            nbrs[v][u] = c
-        return tuple(nbrs)
-
     def multiplicity(self, u: int, v: int) -> int:
         a, b = _norm_edge(u, v)
         for x, y, c in self.edges:
@@ -214,10 +205,6 @@ class Multigraph:
 
     def loops(self, v: int) -> int:
         return self.multiplicity(v, v)
-
-    def neighbors(self, v: int) -> dict[int, int]:
-        """Proper neighbours (loops excluded) with multiplicities."""
-        return self._adj[v]
 
     def edge_total(self) -> int:
         return sum(c for _, _, c in self.edges)
@@ -957,48 +944,24 @@ def forest_symmetry(g: Graph) -> ForestSymmetry | None:
     """The orbit classes, rooting and |Aut| of a forest from one pass of AHU
     canonical codes (Aho, Hopcroft & Ullman 1974); None if g has a cycle.
 
-    The codes, rooting and order come from :func:`_forest_codes`.  A
-    vertex's orbit label chains its code with its parent's label; a root's
-    label is its tree's code, so the halves of a bicentre share a label
-    when they are isomorphic, and so do isomorphic trees.  The pass is made
-    once per graph and kept on it.
+    The pass is made once per graph and kept on it; see
+    :func:`_symmetry_pass`.
     """
     return g._forest_symmetry
 
 
 def _symmetry_pass(g: Graph) -> ForestSymmetry | None:
-    codes = _forest_codes(g)
-    if codes is None:
-        return None
-    order, code, parent, partner, peel = codes
-    labels: dict[tuple[int, ...], int] = {}
-    orbit = [0] * g.n
-    for v in reversed(peel):  # parents before children
-        u = parent[v]
-        if u >= 0:
-            key: tuple[int, ...] = (code[v], orbit[u])
-        elif partner[v] < 0:
-            key = (-1, code[v])
-        else:
-            key = (-2, code[v], code[partner[v]])
-        orbit[v] = labels.setdefault(key, len(labels))
-    return ForestSymmetry(order, tuple(orbit), tuple(parent), tuple(partner))
-
-
-def _forest_codes(
-    g: Graph,
-) -> tuple[int, list[int], list[int], list[int], list[int]] | None:
-    """|Aut|, AHU codes, parents, bicentre partners and peeling order of a
-    forest; None if g has a cycle.
-
-    Peeling every leaf at once, round after round, reaches each tree's
+    """Peeling every leaf at once, round after round, reaches each tree's
     centre last, or its two bicentre vertices together; a vertex's parent
     is the neighbour peeled after it.  A vertex's code interns its
     children's sorted codes, so two rooted subtrees share a code exactly
     when they are isomorphic.  The group order is the product over vertices
     of k! for every k children with equal codes, times 2 for each tree with
-    isomorphic halves, times k! for every k pairwise isomorphic trees.
-    Nothing is enumerated, so there is no size bound.
+    isomorphic halves, times k! for every k pairwise isomorphic trees.  A
+    vertex's orbit label chains its code with its parent's label; a root's
+    label is its tree's code, so the halves of a bicentre share a label
+    when they are isomorphic, and so do isomorphic trees.  Nothing is
+    enumerated, so there is no size bound.
     """
     n = g.n
     adj = g._adj
@@ -1030,7 +993,7 @@ def _forest_codes(
     code = [0] * n
     kids: list[list[int]] = [[] for _ in range(n)]
     roots = []
-    total = 1
+    order = 1
     for v in peel:  # children before parents
         ks = kids[v]
         if ks:
@@ -1039,7 +1002,7 @@ def _forest_codes(
                 run = 1
                 for prev, kid in zip(ks, ks[1:]):
                     run = run + 1 if kid == prev else 1
-                    total *= run  # a run of k equal codes gives 2*3*...*k = k!
+                    order *= run  # a run of k equal codes gives 2*3*...*k = k!
             code[v] = codes.setdefault(tuple(ks), len(codes))
         u = parent[v]
         if u >= 0:
@@ -1055,17 +1018,22 @@ def _forest_codes(
         elif v < x:
             trees[(min(code[v], code[x]), max(code[v], code[x]))] += 1
             if code[v] == code[x]:
-                total *= 2
+                order *= 2
     for k in trees.values():
-        total *= math.factorial(k)
-    return total, code, parent, partner, peel
+        order *= math.factorial(k)
 
-
-def forest_automorphism_count(g: Graph) -> int | None:
-    """|Aut(g)| for a forest (see :func:`_forest_codes`); None if g has a
-    cycle.  It skips the orbit labels of :func:`forest_symmetry`."""
-    codes = _forest_codes(g)
-    return None if codes is None else codes[0]
+    labels: dict[tuple[int, ...], int] = {}
+    orbit = [0] * n
+    for v in reversed(peel):  # parents before children
+        u = parent[v]
+        if u >= 0:
+            key: tuple[int, ...] = (code[v], orbit[u])
+        elif partner[v] < 0:
+            key = (-1, code[v])
+        else:
+            key = (-2, code[v], code[partner[v]])
+        orbit[v] = labels.setdefault(key, len(labels))
+    return ForestSymmetry(order, tuple(orbit), tuple(parent), tuple(partner))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ limits the search: its placements count against the state budget.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -122,9 +121,6 @@ class ReductionTrace:
             ],
             "leaves_explored": len(self.leaves) if self.mode == "all_paths" else None,
         }
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, indent=2)
 
 
 def reduced_form(

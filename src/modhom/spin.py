@@ -34,10 +34,6 @@ from .graphs import Graph, Multigraph, PartiallyLabelledGraph
 EXPLICIT_VALIDATION_VERTICES = 20
 CLIQUE_CHECK_BOUND = 12
 
-# A pinned spin instance is a multigraph plus a partial map to literal spins
-# {0,1}; structurally identical to a partially labelled graph.
-PinnedSpinGraph = PartiallyLabelledGraph
-
 
 @dataclass(frozen=True)
 class SpinParams:

@@ -156,21 +156,6 @@ def z_wbis_subsets(g: BipartiteGraph, lambda_l: int, lambda_r: int) -> int:
 _SWEEP_CELLS = 1 << 16
 
 
-def _popcount64(x: np.ndarray) -> np.ndarray:
-    """Set bits of each uint64, by the SWAR sums of bit pairs, nibbles and
-    bytes (the last product wraps mod 2^64 and keeps the byte sum on top)."""
-    import numpy as np
-
-    m1 = np.uint64(0x5555555555555555)
-    m2 = np.uint64(0x3333333333333333)
-    m4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-    h01 = np.uint64(0x0101010101010101)
-    x = x - ((x >> np.uint64(1)) & m1)
-    x = (x & m2) + ((x >> np.uint64(2)) & m2)
-    x = (x + (x >> np.uint64(4))) & m4
-    return (x * h01) >> np.uint64(56)
-
-
 def z_wbis_flat(g: BipartiteGraph, w: WbisWeights) -> ZpScalar:
     """Side-trace evaluation: full enumeration over the smaller side (at most
     ``SIDE_TRACE_BITS`` vertices), vectorized.
@@ -231,7 +216,7 @@ def z_wbis_flat(g: BipartiteGraph, w: WbisWeights) -> ZpScalar:
     step = max(1, _SWEEP_CELLS // max(1, len(lo_mask)))
     for start in range(0, len(hi_mask), step):
         blocked = hi_mask[start : start + step, None] | lo_mask
-        terms = lo_w * powtab[_popcount64(blocked)] % p
+        terms = lo_w * powtab[np.bitwise_count(blocked)] % p
         rows = terms.sum(axis=1) % p
         total = (total + int((hi_w[start : start + step] * rows % p).sum())) % p
     return ZpScalar.of(total, p)

@@ -41,6 +41,7 @@ from modhom.graphs import (
     path_graph,
     star_graph,
 )
+from modhom.reduction import find_order_p_automorphism
 
 RNG_SEED = 0x5EED03
 
@@ -283,8 +284,22 @@ def test_certificate_beside_a_clique():
 
 
 def test_certificate_search_requires_connected_input():
-    with pytest.raises(InputError):
-        find_ab_path(Graph.make(3, [(0, 1)]), 3)
+    for h in (Graph.make(3, [(0, 1)]), Graph.make(0)):
+        with pytest.raises(InputError):
+            find_ab_path(h, 3)
+
+
+def test_certificate_search_reads_the_kept_forest_pass(monkeypatch):
+    # the cross-check's Cauchy test makes the one pass that the order-p
+    # search then reads from the graph
+    calls = []
+    real = graphs._symmetry_pass
+    monkeypatch.setattr(graphs, "_symmetry_pass", lambda g: calls.append(g) or real(g))
+    t = spider(2, 2, 3)  # |Aut| = 2, not a star
+    assert find_ab_path(t, 3) is not None
+    assert calls == [t]
+    assert find_order_p_automorphism(t, 3) is None
+    assert calls == [t]
 
 
 def test_certificates_found_on_every_hard_tree():

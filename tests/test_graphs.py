@@ -31,7 +31,6 @@ from modhom.graphs import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
-    forest_automorphism_count,
     forest_symmetry,
     iter_automorphisms,
     nonisomorphic_trees,
@@ -306,8 +305,8 @@ def test_order_restricted_search_rejects_non_prime_orders():
 @given(forests_up_to(7))
 @example(Graph.make(6, [(0, 1), (2, 3), (4, 5)]))
 @settings(max_examples=80, deadline=None)
-def test_forest_automorphism_count_matches_flat_oracle(g):
-    assert forest_automorphism_count(g) == len(flat_automorphisms(g))
+def test_forest_group_order_matches_flat_oracle(g):
+    assert forest_symmetry(g).order == len(flat_automorphisms(g))
 
 
 @given(forests_up_to(8))
@@ -359,12 +358,12 @@ def test_forest_symmetry_roots_at_the_centre():
     assert forest_symmetry(Graph.make(5, [(3, 4)] + cycle_graph(3).sorted_edges())) is None
 
 
-def test_forest_automorphism_count_matches_group_on_all_small_trees():
+def test_forest_group_order_matches_group_on_all_small_trees():
     for n in range(1, 11):
         for t in nonisomorphic_trees(n):
-            assert forest_automorphism_count(t) == len(automorphism_group(t))
-    assert forest_automorphism_count(cycle_graph(5)) is None
-    assert forest_automorphism_count(star_graph(20)) == math.factorial(20)
+            assert forest_symmetry(t).order == len(automorphism_group(t))
+    assert forest_symmetry(cycle_graph(5)) is None
+    assert forest_symmetry(star_graph(20)).order == math.factorial(20)
 
 
 def test_are_isomorphic_counterexamples():

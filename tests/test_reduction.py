@@ -21,7 +21,7 @@ from modhom.graphs import (
     Permutation,
     are_isomorphic,
     cycle_graph,
-    forest_automorphism_count,
+    forest_symmetry,
     nonisomorphic_trees,
     path_graph,
     star_graph,
@@ -58,7 +58,7 @@ def test_order_p_element_beyond_group_enumeration():
 def test_order_p_element_exists_iff_p_divides_forest_group_order():
     for n in range(9, 13):
         for t in nonisomorphic_trees(n):
-            order = forest_automorphism_count(t)
+            order = forest_symmetry(t).order
             for p in (2, 3, 5, 7):
                 rho = find_order_p_automorphism(t, p)
                 if order % p:
