@@ -336,10 +336,11 @@ def _cmd_atlas(args: argparse.Namespace) -> int:
     if jobs > cpus:
         raise InputError(f"--jobs {jobs} exceeds the {cpus} available CPUs")
 
+    # rows come out in task order, (n, index, p), whichever way they run
     tasks = []
     for n in range(1, args.max_n + 1):
         for index, tree in enumerate(nonisomorphic_trees(n)):
-            for p in primes:
+            for p in sorted(primes):
                 tasks.append((n, index, tree.sorted_edges(), p))
 
     if jobs == 1:
@@ -347,7 +348,6 @@ def _cmd_atlas(args: argparse.Namespace) -> int:
     else:
         with multiprocessing.Pool(jobs) as pool:
             rows = pool.map(_atlas_task, tasks)
-    rows.sort(key=lambda r: (r["n"], r["index"], r["p"]))
 
     doc = {
         "max_n": args.max_n,

@@ -23,6 +23,7 @@ from .graphs import (
     Graph,
     Multigraph,
     PartiallyLabelledGraph,
+    are_isomorphic,
     automorphism_group,
 )
 
@@ -45,6 +46,8 @@ def is_prime(n: int) -> bool:
     for b in PRIME_TEST_BASES:
         if n % b == 0:
             return n == b
+    if n < 43 * 43:  # a composite this small has a factor of at most 41
+        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -155,20 +158,23 @@ class HomCount:
                 raise InputError("exact count and residue disagree")
 
 
-def _as_labelled(j: Graph | PartiallyLabelledGraph) -> PartiallyLabelledGraph:
-    if isinstance(j, PartiallyLabelledGraph):
-        return j
+def _source(
+    j: Graph | PartiallyLabelledGraph, h: Graph
+) -> tuple[Graph, dict[int, int]]:
+    """The simple graph of a hom-count source and its pins, each pin
+    checked to be a vertex of ``h``."""
     if isinstance(j, DistinguishedGraph):
         raise InputError("pass pins explicitly, not a distinguished graph")
-    return PartiallyLabelledGraph.make(j, {})
-
-
-def _check_pins(j: PartiallyLabelledGraph, h: Graph) -> dict[int, int]:
-    pins = j.pin_map
+    if isinstance(j, PartiallyLabelledGraph):
+        g, pins = j.base, j.pin_map
+    else:
+        g, pins = j, {}
+    if isinstance(g, Multigraph):
+        raise InputError("homomorphism counting needs a simple base graph")
     for v, t in pins.items():
         if not 0 <= t < h.n:
             raise InputError(f"pin {v} -> {t} out of range for target n={h.n}")
-    return pins
+    return g, pins
 
 
 def count_homs(
@@ -183,11 +189,7 @@ def count_homs(
     state budget bounds the elimination's table states.  With ``p`` the
     result also carries the residue mod p.
     """
-    j = _as_labelled(j)
-    if isinstance(j.base, Multigraph):
-        raise InputError("homomorphism counting needs a simple base graph")
-    g: Graph = j.base
-    pins = _check_pins(j, h)
+    g, pins = _source(j, h)
     if p is not None:
         _assert_prime(p)
 
@@ -220,11 +222,7 @@ def enumerate_homs(
     (read once per enumeration) it raises :class:`BudgetExceededError`.
     """
     budget = state_budget_default()
-    j = _as_labelled(j)
-    if isinstance(j.base, Multigraph):
-        raise InputError("homomorphism counting needs a simple base graph")
-    g: Graph = j.base
-    pins = _check_pins(j, h)
+    g, pins = _source(j, h)
     order = sorted(g.vertices(), key=lambda v: (v not in pins, -g.degree(v), v))
     assignment: dict[int, int] = dict(pins)
     for v in pins:
@@ -361,11 +359,7 @@ def count_homs_subdivided(
         norm_lengths[e] = ell
     if set(norm_lengths) != set(skeleton.edges):
         raise InputError("every skeleton edge needs a length")
-    for v, t in pins.items():
-        if not 0 <= v < skeleton.n:
-            raise InputError(f"pinned vertex {v} out of range")
-        if not 0 <= t < h.n:
-            raise InputError(f"pin target {t} out of range")
+    skeleton, pins = _source(PartiallyLabelledGraph.make(skeleton, pins), h)
 
     budget = state_budget_default()
     # One matrix product costs n^3 multiply-adds, as many as the table the
@@ -496,39 +490,32 @@ def tuple_vector(
     index_of: dict[tuple[int, ...], int] = {}
     reps: list[tuple[int, ...]] = []
     orbit_size: list[int] = []
-    for t in all_tuples:
-        if t in index_of:
-            continue
-        orbit = {tuple(a.images[x] for x in t) for a in auts}
-        rep = min(orbit)
-        idx = len(reps)
-        reps.append(rep)
-        orbit_size.append(len(orbit))
-        for o in orbit:
-            index_of[o] = idx
-    # Re-order classes by representative for a canonical layout.
-    order = sorted(range(len(reps)), key=lambda i: reps[i])
-    new_pos = {old: new for new, old in enumerate(order)}
-    entries: list[ZpScalar | None] = [None] * len(reps)
+    entries: list[ZpScalar] = []
     for t, val in zip(all_tuples, raw):
-        cls = new_pos[index_of[t]]
-        if entries[cls] is None:
-            entries[cls] = val
+        cls = index_of.get(t)
+        if cls is None:
+            # lexicographic order meets each orbit first at its least tuple,
+            # so classes are numbered in order of their representatives
+            orbit = {tuple(a.images[x] for x in t) for a in auts}
+            for o in orbit:
+                index_of[o] = len(reps)
+            reps.append(t)
+            orbit_size.append(len(orbit))
+            entries.append(val)
         elif entries[cls] != val:
             raise RuntimeError(
                 "internal verification failure: pinned counts differ inside "
                 "an isomorphism class"
             )
-    index_map = tuple(new_pos[index_of[t]] for t in all_tuples)
     return TupleVector(
         arity=r,
         modulus=p,
         target_n=h.n,
-        entries=tuple(e for e in entries if e is not None),
+        entries=tuple(entries),
         contracted=True,
-        index_map=index_map,
-        class_reps=tuple(reps[i] for i in order),
-        orbit_sizes=tuple(orbit_size[i] for i in order),
+        index_map=tuple(index_of[t] for t in all_tuples),
+        class_reps=tuple(reps),
+        orbit_sizes=tuple(orbit_size),
     )
 
 
@@ -598,7 +585,6 @@ def find_distinguisher(
     exhausted; that is a bounded-search outcome, not a proof that no
     distinguisher exists.
     """
-    from .graphs import are_isomorphic
     from .reduction import find_order_p_automorphism
 
     _assert_prime(p)

@@ -6,8 +6,9 @@ partition functions and the CNF cut-vertex evaluation all compute
     Z = Σ_σ  Π_v w_v(σ_v)  Π_{uv} M_uv[σ_u, σ_v]
 
 over assignments σ that send each source vertex v into ``range(len(w_v))``.
-:func:`partition_sum` takes the weight vectors and the edge matrices; each
-caller only builds them.
+:func:`partition_sum` takes the weight vectors and one edge matrix per
+vertex pair; each caller only builds them, folding parallel edges (the
+two-spin evaluator raises γ to the multiplicity) into that one matrix.
 
 Values of weight zero are dropped.  A vertex left with a single value (a
 pin) or with at most one neighbour is folded into its neighbour's weights,
@@ -69,7 +70,8 @@ def partition_sum(
     when it is None.
 
     ``edges`` holds (u, v, M) with u != v and M symmetric (every caller's
-    graph is undirected); parallel edges multiply.  With ``mod``, the
+    graph is undirected), each unordered pair {u, v} at most once: a caller
+    folds parallel edges into one matrix.  With ``mod``, the
     entries of M must fit in an int64 (every caller passes residues).  Raises
     BudgetExceededError, before any elimination table is built, when the
     evaluation needs more table states than :func:`state_budget_default`.
@@ -82,11 +84,6 @@ def partition_sum(
         w = [[c % mod for c in wv] for wv in weights]
     nbrs: list[dict[int, Matrix]] = [{} for _ in range(n)]
     for u, v, mat in edges:
-        old = nbrs[u].get(v)
-        if old is not None:
-            mat = [[x * y for x, y in zip(r, s)] for r, s in zip(old, mat)]
-            if mod is not None:
-                mat = [[x % mod for x in r] for r in mat]
         nbrs[u][v] = nbrs[v][u] = mat
     dom = [[a for a, c in enumerate(wv) if c] for wv in w]
     if not all(dom):

@@ -109,26 +109,10 @@ class Graph:
         return _norm_edge(u, v) in self.edges
 
     def components(self) -> tuple[tuple[int, ...], ...]:
-        seen = [False] * self.n
-        out: list[tuple[int, ...]] = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            comp = []
-            stack = [s]
-            seen[s] = True
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in self._adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            out.append(tuple(sorted(comp)))
-        return tuple(out)
+        return analyze_structure(self).components
 
     def is_connected(self) -> bool:
-        return self.n == 0 or len(self.components()) == 1
+        return len(self.components()) <= 1
 
     def distance(self, u: int, v: int) -> int | None:
         """BFS distance, or None if u and v lie in different components."""

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Literal
 
+from .counting import _assert_prime
 from .errors import BudgetExceededError, InputError
 from .graphs import (
     Graph,
@@ -52,8 +53,6 @@ def find_order_p_automorphism(h: Graph, p: int) -> Permutation | None:
     None at once, and an empty search where p divides it fails the check.
     Past the state budget the search raises :class:`BudgetExceededError`.
     """
-    from .counting import _assert_prime
-
     _assert_prime(p)
     symmetry = forest_symmetry(h)
     group_order = None if symmetry is None else symmetry.order
@@ -135,8 +134,6 @@ def reduced_form(
     de-duplicating up to isomorphism, and verifies all terminal graphs are
     isomorphic (raising RuntimeError otherwise).
     """
-    from .counting import _assert_prime
-
     _assert_prime(p)
     if tie_break == "deterministic":
         steps: list[ReductionStep] = []

@@ -256,12 +256,8 @@ class GadgetVector:
 
     def components(self) -> list[tuple[str, int, int]]:
         """(kind, size_param, count) for the non-parallel slots."""
-        out = [
-            ("clique", j + 2, c) for j, c in enumerate(self.clique_counts)
-        ]
-        out.append(("p2", 2, self.k_p2))
-        out.append(("p3", 3, self.k_p3))
-        return out
+        slots = zip(_inner_component_types(self.m), self.entries()[1:])
+        return [(kind, s, c) for (kind, s), c in slots]
 
     def total_vertices(self) -> int:
         cliques = sum(
@@ -692,8 +688,7 @@ def search_sweep(
     in ascending (gamma, lambda) order."""
     _assert_prime(p)
     for gv in range(p):
-        sp0 = SpinParams.of(gv, 1, p)
-        if sp0.gamma_sq_is_one:
+        if gv * gv % p == 1:
             continue
         for lv in range(1, p):
             yield search_gadget(

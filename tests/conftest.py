@@ -81,11 +81,9 @@ def flat_marked_isomorphic(
     )
 
 
-def flat_structure(g: Graph) -> tuple:
-    """(components, bipartition, is_tree, is_star, complete-bipartite flags)
-    by brute force: components by relaxing labels along edges until they
-    settle, and each component's sides by trying every vertex subset that
-    holds its minimum vertex."""
+def flat_components(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Components by relaxing labels along edges until they settle, each
+    sorted, in order of their least vertex."""
     label = list(range(g.n))
     changed = True
     while changed:
@@ -94,10 +92,18 @@ def flat_structure(g: Graph) -> tuple:
             if label[u] != label[v]:
                 label[u] = label[v] = min(label[u], label[v])
                 changed = True
-    comps = tuple(
+    return tuple(
         tuple(v for v in range(g.n) if label[v] == root)
         for root in sorted(set(label))
     )
+
+
+def flat_structure(g: Graph) -> tuple:
+    """(components, bipartition, is_tree, is_star, complete-bipartite flags)
+    by brute force: components from :func:`flat_components`, and each
+    component's sides by trying every vertex subset that holds its minimum
+    vertex."""
+    comps = flat_components(g)
     edges = {frozenset(e) for e in g.edges}
     sides = []
     flags = []
@@ -543,7 +549,7 @@ def forest_of_stars(h: Graph) -> bool:
     every component has at most one vertex of degree >= 2."""
     return all(
         sum(1 for v in comp if h.degree(v) >= 2) <= 1
-        for comp in h.components()
+        for comp in flat_components(h)
     )
 
 

@@ -7,6 +7,7 @@ from package output.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -30,6 +31,7 @@ from modhom.counting import (
     vec_combine,
     zp,
 )
+from modhom.dichotomy import AbPath, classify, count_homs_polytime, find_ab_path
 from modhom.errors import (
     BudgetExceededError,
     InputError,
@@ -43,9 +45,13 @@ from modhom.graphs import (
     PartiallyLabelledGraph,
     complete_graph,
     cycle_graph,
+    iter_automorphisms,
     path_graph,
     star_graph,
 )
+from modhom.reduction import find_order_p_automorphism, reduced_form
+from modhom.spin import SpinParams, classify_sweep, search_sweep
+from modhom.wbis import WbisWeights, build_B
 
 RNG_SEED = 0x5EED01
 
@@ -92,6 +98,39 @@ def test_is_prime_matches_sympy():
     assert all(is_prime(q) for q in big_primes)
     with pytest.raises(InputError, match=str(PRIME_TEST_BOUND)):
         is_prime(PRIME_TEST_BOUND)
+
+
+# Every public entry that takes a prime modulus, called with that modulus.
+PRIME_ENTRIES = {
+    "ZpScalar.of": lambda p: ZpScalar.of(1, p),
+    "WbisWeights.of": lambda p: WbisWeights.of(1, 1, p),
+    "SpinParams.of": lambda p: SpinParams.of(2, 1, p),
+    "count_homs": lambda p: count_homs(path_graph(2), path_graph(2), p),
+    "count_homs_subdivided": lambda p: count_homs_subdivided(
+        path_graph(2), {(0, 1): 2}, {}, path_graph(2), p
+    ),
+    "tuple_vector": lambda p: tuple_vector(
+        DistinguishedGraph(path_graph(2), (0,)), path_graph(2), p
+    ),
+    "find_distinguisher": lambda p: find_distinguisher(path_graph(4), (0,), (1,), p),
+    "find_order_p_automorphism": lambda p: find_order_p_automorphism(path_graph(3), p),
+    "reduced_form": lambda p: reduced_form(path_graph(3), p),
+    "iter_automorphisms": lambda p: next(iter_automorphisms(path_graph(3), order=p)),
+    "classify": lambda p: classify(path_graph(3), p),
+    "find_ab_path": lambda p: find_ab_path(path_graph(3), p),
+    "count_homs_polytime": lambda p: count_homs_polytime(path_graph(2), path_graph(2), p),
+    "AbPath.validate": lambda p: AbPath((0, 1), 0, 0, p).validate(path_graph(2)),
+    "build_B": lambda p: build_B(1, p),
+    "search_sweep": lambda p: next(search_sweep(p)),
+    "classify_sweep": lambda p: next(classify_sweep(p)),
+}
+
+
+@pytest.mark.parametrize("modulus", [0, 1, 4, 9, -3])
+@pytest.mark.parametrize("entry", sorted(PRIME_ENTRIES))
+def test_every_prime_entry_refuses_a_bad_modulus(entry, modulus):
+    with pytest.raises(InputError):
+        PRIME_ENTRIES[entry](modulus)
 
 
 @given(st.integers(), st.sampled_from([2, 3, 5, 7, 11]))
@@ -371,6 +410,15 @@ def test_tuple_vector_of_pendant_edge():
     vec = tuple_vector(g, path_graph(4), 5)
     assert [e.value for e in vec.entries] == [1, 2, 2, 1]
     assert vec.arity == 1 and not vec.contracted
+    assert vec.legend() == [(0,), (1,), (2,), (3,)]
+    assert vec.to_json() == {
+        "arity": 1,
+        "modulus": 5,
+        "target_n": 4,
+        "contracted": False,
+        "entries": [1, 2, 2, 1],
+        "legend": [[0], [1], [2], [3]],
+    }
 
 
 def test_tuple_vector_sum_is_total_count():
@@ -389,6 +437,31 @@ def test_tuple_vector_contraction():
     # contraction refuses targets with an order-p symmetry
     with pytest.raises(InputError):
         tuple_vector(g, path_graph(4), 2, contract=True)
+
+
+def test_contracted_tuple_vector_lists_classes_by_least_tuple():
+    """Both ends of an edge marked, into P4 at p = 3: the reflection
+    x -> 3 - x pairs the 16 tuples into 8 classes, each listed at its least
+    tuple, in lexicographic order."""
+    vec = tuple_vector(DistinguishedGraph(path_graph(2), (0, 1)), path_graph(4), 3, True)
+    tuples = list(itertools.product(range(4), repeat=2))
+    least = [min(t, (3 - t[0], 3 - t[1])) for t in tuples]
+    legend = sorted(set(least))
+    assert vec.legend() == legend == [(0, 0), (0, 1), (0, 2), (0, 3),
+                                      (1, 0), (1, 1), (1, 2), (1, 3)]
+    assert vec.index_map == tuple(legend.index(t) for t in least)
+    assert vec.orbit_sizes == (2,) * 8
+    assert [e.value for e in vec.entries] == [0, 1, 0, 0, 1, 0, 1, 0]
+    assert vec.to_json() == {
+        "arity": 2,
+        "modulus": 3,
+        "target_n": 4,
+        "contracted": True,
+        "entries": [0, 1, 0, 0, 1, 0, 1, 0],
+        "legend": [list(t) for t in legend],
+        "index_map": list(vec.index_map),
+        "orbit_sizes": [2] * 8,
+    }
 
 
 def test_tuple_vector_budget():

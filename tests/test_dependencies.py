@@ -40,6 +40,36 @@ def third_party_imports() -> set[str]:
     return {name for name in found if name not in sys.stdlib_module_names}
 
 
+def function_level_package_imports() -> list[tuple[str, str, str]]:
+    """(module, imported module, name) for every ``from .x import name``
+    inside a function body of the package."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        deferred = {
+            id(node): node
+            for func in ast.walk(tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(func)
+            if isinstance(node, ast.ImportFrom) and node.level
+        }
+        for node in deferred.values():
+            found += [(path.stem, node.module, a.name) for a in node.names]
+    return found
+
+
+def test_only_import_cycles_defer_package_imports():
+    """An import of the package's own code is deferred into a function only
+    where a top-level import would close a cycle: graphs needs the primality
+    test of counting, which imports graphs, and counting needs the order-p
+    search of reduction, which imports counting."""
+    assert sorted(function_level_package_imports()) == [
+        ("counting", "reduction", "find_order_p_automorphism"),
+        ("counting", "reduction", "find_order_p_automorphism"),
+        ("graphs", "counting", "is_prime"),
+    ]
+
+
 def test_declared_dependencies_are_the_imported_ones():
     assert third_party_imports() == declared_dependencies()
 

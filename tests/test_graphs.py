@@ -192,6 +192,20 @@ def test_parse_rejects_non_integer_operands(text, kind, fragment):
 @pytest.mark.parametrize(
     "text, fragment",
     [
+        ("p graph 2 1\ne 1 2\npin 1 2\npin 1 1\n", "line 4: vertex 1 pinned twice"),
+        ("p multi 2 1\ne 1 2\npin 2 0\npin 2 1\n", "line 4: vertex 2 pinned twice"),
+        ("p multi 2 1\ne 1 2\npin 1 2\n", "line 3: spin pin value must be 0 or 1"),
+    ],
+)
+def test_parse_rejects_bad_pins(text, fragment):
+    with pytest.raises(InputError) as err:
+        parse_graph(text, kind="labelled")
+    assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
         ("e 1 2\n", "content before header"),
         ("p graph 2 1\ne 1 3\n", "line 2"),
         ("p graph 2 1\ne 1 1\n", "loop not allowed"),
@@ -231,6 +245,11 @@ def test_permutation_algebra():
     rho = Permutation((1, 2, 0))
     assert rho.order == 3
     assert rho.power(3).is_identity()
+    sigma = Permutation((1, 0, 3, 4, 2))  # order 6
+    step = Permutation(tuple(range(5)))
+    for k in range(14):
+        assert sigma.power(k) == step
+        step = sigma.compose(step)
     assert rho.compose(rho).apply(0) == 2
     assert rho.cycles() == ((0, 1, 2),)
     assert "0 1 2" in rho.cycle_notation() or "(0 1 2)" in rho.cycle_notation()
@@ -313,6 +332,7 @@ def test_forest_group_order_matches_flat_oracle(g):
 @example(Graph.make(0))
 @example(Graph.make(4))  # isolated vertices only
 @example(Graph.make(5, [(0, 1), (1, 2)]))  # a path beside isolated vertices
+@example(Graph.make(6, [(0, 1), (2, 3), (4, 5)]))  # three equal edges
 @example(Graph.make(6, [(3, 0), (0, 5), (5, 1)]).relabel([2, 4, 0, 5, 1, 3]))
 @example(Graph.make(5, [(0, 1), (0, 2), (0, 3), (1, 4)]))  # unequal bicentre halves
 @example(Graph.make(8, [(0, 1), (0, 2), (1, 3), (4, 5), (4, 6), (5, 7)]))

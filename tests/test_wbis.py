@@ -120,6 +120,24 @@ def test_split_sum_identity_by_hand_and_at_scale():
     assert (rep.left_only, rep.right_only, rep.mixed) == (3, 4, 0)
     assert rep.total == 6
     assert rep.mixed_method == "census"
+    assert {k: v.value for k, v in rep.residues().items()} == {
+        "left_only": 3, "right_only": 4, "mixed": 0, "total": 1,
+    }
+    assert rep.to_json() == {
+        "left_only": 3, "right_only": 4, "mixed": 0, "total": 6,
+        "modulus": 5, "mixed_method": "census",
+        "residues": {"left_only": 3, "right_only": 4, "mixed": 0, "total": 1},
+    }
+
+    # 26 vertices, past the census: the mixed sum is derived from the total
+    ll, lr, p = 2, 3, 7
+    g = BipartiteGraph.make(range(13), range(13, 26))
+    rep = split_sum_report(g, WbisWeights.of(ll, lr, p))
+    assert rep.mixed_method == "derived"
+    assert rep.mixed == ((1 + ll) ** 13 - 1) * ((1 + lr) ** 13 - 1)
+    assert rep.total == (1 + ll) ** 13 * (1 + lr) ** 13
+    assert rep.residues()["mixed"].value == rep.mixed % p
+    assert rep.to_json()["residues"]["total"] == rep.total % p
 
     rng = random.Random(RNG_SEED + 3)
     for _ in range(15):
@@ -432,6 +450,13 @@ def test_g_phi_shape():
     assert built.graph.n == built.core_size + len(built.copies) * block
     for info in built.copies:
         assert info.core_vertex in (built.w + built.z + built.y)
+    doc = built.to_json()
+    assert (doc["vertices"], doc["edges"]) == (built.graph.n, built.graph.m)
+    assert doc["left_size"] + doc["right_size"] == built.graph.n
+    starts = [c["block_start"] for c in doc["copies"]]
+    assert starts == [built.core_size + i * block for i in range(len(starts))]
+    assert all(c["block_size"] == block for c in doc["copies"])
+    assert [c["index"] for c in doc["copies"]] == list(range(1, len(starts) + 1))
 
 
 def test_sat_reduction_refuses_a_wide_formula_first():
