@@ -57,6 +57,17 @@ def _read_text(path: str) -> str:
         ) from None
 
 
+def _check_primes(primes: tuple[int, ...]) -> None:
+    """Each prime of an atlas prime list is prime and listed once."""
+    seen: set[int] = set()
+    for p in primes:
+        if not is_prime(p):
+            raise InputError(f"{p} is not prime")
+        if p in seen:
+            raise InputError(f"prime {p} is listed twice")
+        seen.add(p)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Defaults shared by the subcommands; a JSON config file may set any
@@ -80,9 +91,7 @@ class RunConfig:
             raise InputError("budgets and parallelism must be positive")
         if self.search_m_cap is not None and self.search_m_cap < 2:
             raise InputError("search family cap must be at least 2")
-        for p in self.primes:
-            if not is_prime(p):
-                raise InputError(f"{p} is not prime")
+        _check_primes(self.primes)
 
     @classmethod
     def load(cls, path: str | None) -> "RunConfig":
@@ -326,9 +335,7 @@ def _cmd_atlas(args: argparse.Namespace) -> int:
     primes = (
         _parse_primes(args.primes) if args.primes else args.config.primes
     )
-    for p in primes:
-        if not is_prime(p):
-            raise InputError(f"{p} is not prime")
+    _check_primes(primes)
     jobs = args.jobs if args.jobs is not None else args.config.jobs
     if jobs <= 0:
         raise InputError("--jobs must be positive")

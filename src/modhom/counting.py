@@ -75,7 +75,8 @@ class ZpScalar:
     """A least non-negative residue in the prime field Z_p.
 
     The modulus is checked for primality at construction (deterministically —
-    the check is exact for anything representable here).  Arithmetic between
+    the check is exact for anything representable here), once: the results
+    of arithmetic share an operand's modulus and skip it.  Arithmetic between
     scalars requires matching moduli.
     """
 
@@ -92,7 +93,16 @@ class ZpScalar:
     @classmethod
     def of(cls, value: int, modulus: int) -> "ZpScalar":
         _assert_prime(modulus)
-        return cls(value % modulus, modulus)
+        return cls._checked(value % modulus, modulus)
+
+    @classmethod
+    def _checked(cls, value: int, modulus: int) -> "ZpScalar":
+        """A scalar from a canonical residue and a modulus already known to
+        be prime, built without the checks."""
+        scalar = object.__new__(cls)
+        object.__setattr__(scalar, "value", value)
+        object.__setattr__(scalar, "modulus", modulus)
+        return scalar
 
     def _same(self, other: "ZpScalar") -> None:
         if self.modulus != other.modulus:
@@ -100,28 +110,29 @@ class ZpScalar:
 
     def __add__(self, other: "ZpScalar") -> "ZpScalar":
         self._same(other)
-        return ZpScalar((self.value + other.value) % self.modulus, self.modulus)
+        return self._checked((self.value + other.value) % self.modulus, self.modulus)
 
     def __sub__(self, other: "ZpScalar") -> "ZpScalar":
         self._same(other)
-        return ZpScalar((self.value - other.value) % self.modulus, self.modulus)
+        return self._checked((self.value - other.value) % self.modulus, self.modulus)
 
     def __mul__(self, other: "ZpScalar") -> "ZpScalar":
         self._same(other)
-        return ZpScalar((self.value * other.value) % self.modulus, self.modulus)
+        return self._checked((self.value * other.value) % self.modulus, self.modulus)
 
     def __neg__(self) -> "ZpScalar":
-        return ZpScalar((-self.value) % self.modulus, self.modulus)
+        return self._checked((-self.value) % self.modulus, self.modulus)
 
     def __pow__(self, k: int) -> "ZpScalar":
         if k < 0:
             return self.inverse() ** (-k)
-        return ZpScalar(pow(self.value, k, self.modulus), self.modulus)
+        return self._checked(pow(self.value, k, self.modulus), self.modulus)
 
     def inverse(self) -> "ZpScalar":
         if self.value == 0:
             raise InputError("0 has no inverse")
-        return ZpScalar(pow(self.value, self.modulus - 2, self.modulus), self.modulus)
+        p = self.modulus
+        return self._checked(pow(self.value, p - 2, p), p)
 
     def is_zero(self) -> bool:
         return self.value == 0

@@ -6,18 +6,21 @@ graph, a weight ``lambda_l`` per chosen left vertex times ``lambda_r`` per
 chosen right vertex.  It is evaluated by the variable-elimination engine
 in :mod:`modhom.elimination` (domain {out, in}, weights (1, λ_side), edge
 matrix [[1, 1], [1, 0]]).  Two independent evaluators stay as cross-checks:
-literal subset enumeration (the oracle) and a vectorized side-trace sweep
-for graphs whose smaller side fits in ~26 bits.  On top of these sit the
-gadget family ``build_B`` /
+a subset census over the smaller side (the oracle) and a vectorized
+side-trace sweep for graphs whose smaller side fits in ~26 bits.  On top of
+these sit the gadget family ``build_B`` /
 ``select_gadget`` — complete bipartite graphs minus a partial matching,
 tuned so the full graph's partition function vanishes mod p while two
 one-vertex deletions do not — and the CNF reduction ``build_G_phi`` /
 ``verify_sat_reduction``, which checks the whole chain numerically.
+``verify_sat_reduction`` works from the reduction graph's layout and builds
+the graph itself only for a cross-check that is about to run on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from .counting import ZpScalar, _assert_prime
@@ -79,7 +82,7 @@ def z_wbis(g: BipartiteGraph, w: WbisWeights) -> ZpScalar:
 
     A side weight of zero collapses to the closed form (other+1)^side-size;
     that happens naturally here because the engine drops zero-weight values.
-    Agrees with literal subset enumeration (tested) and with the side-trace
+    Agrees with the subset census (tested) and with the side-trace
     evaluator on their overlap.
     """
     weights = _side_weights(g, w.lambda_l.value, w.lambda_r.value)
@@ -129,19 +132,42 @@ def enumerate_independent_sets(
 
 
 def _side_census(g: BipartiteGraph) -> dict[tuple[int, int], int]:
-    """#independent sets by (left members, right members), by literal
-    enumeration."""
-    left_mask = sum(1 << v for v in g.left)
+    """#independent sets by (left members, right members), exactly and
+    without the engine, from the subsets of the smaller side alone.
+
+    Every subset S of one side is independent, and the independent sets
+    meeting that side in S are S plus any k of the free(S) opposite
+    vertices no member of S is adjacent to: C(free(S), k) sets with k
+    opposite members.  The subsets are tallied by (|S|, free(S)) first, so
+    the cost is 2^min(|L|, |R|) steps, not one per independent set.
+    """
+    left, right = sorted(g.left), sorted(g.right)
+    flip = len(left) > len(right)
+    enum, other = (right, left) if flip else (left, right)
+    bit = {v: 1 << i for i, v in enumerate(other)}
+    nbr = {v: 0 for v in enum}
+    for a, b in g.edges:
+        if a in bit:
+            a, b = b, a
+        nbr[a] |= bit[b]
+    # entry S (a bitmask over enum): (|S|, the opposite vertices S blocks)
+    subsets = [(0, 0)]
+    for v in enum:
+        subsets += [(size + 1, blocked | nbr[v]) for size, blocked in subsets]
+    tally: dict[tuple[int, int], int] = {}
+    for size, blocked in subsets:
+        key = (size, len(other) - blocked.bit_count())
+        tally[key] = tally.get(key, 0) + 1
     census: dict[tuple[int, int], int] = {}
-    for mask in _independent_masks(adjacency_masks(g.to_graph())):
-        nl = (mask & left_mask).bit_count()
-        key = (nl, mask.bit_count() - nl)
-        census[key] = census.get(key, 0) + 1
+    for (size, free), count in tally.items():
+        for k in range(free + 1):
+            key = (k, size) if flip else (size, k)
+            census[key] = census.get(key, 0) + count * comb(free, k)
     return census
 
 
 def z_wbis_subsets(g: BipartiteGraph, lambda_l: int, lambda_r: int) -> int:
-    """Oracle evaluator: literal enumeration of independent sets (exact)."""
+    """Oracle evaluator: the exact sum from the subset census."""
     if g.n > SUBSET_BOUND:
         raise BudgetExceededError(
             f"subset oracle limited to {SUBSET_BOUND} vertices"
@@ -425,7 +451,7 @@ def select_gadget(w: WbisWeights) -> BGadget:
     Case analysis on whether each weight is -1 mod p, first match in the
     order i, ii, iii, iv (at p=2 the only nonzero weight is 1 ≡ -1, so case
     iv fires).  Every congruence the construction relies on is recomputed
-    here — closed forms always, literal enumeration for p ≤ 5 — and any
+    here — closed forms always, the subset census for p ≤ 5 — and any
     mismatch raises RuntimeError, which would signal a bug, not bad input.
     """
     p = w.p
@@ -736,8 +762,82 @@ class GPhiConstruction:
         }
 
 
-def build_G_phi(phi: CnfFormula, w: WbisWeights) -> GPhiConstruction:
-    """Assemble the reduction graph for a CNF formula.
+@dataclass(frozen=True)
+class _GPhiLayout:
+    """G_phi without its edge set: the core, the gadget, and where each copy
+    of B goes.
+
+    A copy adds |V(B)| - 1 vertices and |E(B)| edges (the identified
+    vertex's edges become edges to the core vertex), and it takes one vertex
+    off the side the identified vertex was on; so the sizes of G_phi are
+    arithmetic.  ``materialise`` builds the graph itself.
+    """
+
+    gadget: BGadget
+    n: int
+    m: int
+    u: tuple[int, ...]
+    ubar: tuple[int, ...]
+    w: tuple[int, ...]
+    v: tuple[int, ...]
+    vbar: tuple[int, ...]
+    z: tuple[int, ...]
+    y: tuple[int, ...]
+    core_size: int
+    core_edges: frozenset[tuple[int, int]]
+    copies: tuple[CopyInfo, ...]
+
+    @property
+    def vertices(self) -> int:
+        return self.core_size + len(self.copies) * (self.gadget.graph.n - 1)
+
+    @property
+    def edges(self) -> int:
+        return len(self.core_edges) + len(self.copies) * self.gadget.graph.m
+
+    @property
+    def left_size(self) -> int:
+        b_left = len(self.gadget.graph.left)
+        # u, ubar and w are the core's left vertices
+        return 3 * self.n + sum(b_left - (c.side == "L") for c in self.copies)
+
+    @property
+    def right_size(self) -> int:
+        return self.vertices - self.left_size
+
+    def materialise(self) -> BipartiteGraph:
+        """The whole graph: the core plus every copy, each copy's identified
+        vertex replaced by the core vertex it hangs off."""
+        bgraph = self.gadget.graph
+        bgraph_plain = bgraph.to_graph()
+
+        def stamped(
+            drop: int,
+        ) -> tuple[list[int], list[int], list[tuple[int, int]], list[int]]:
+            reduced, index = bgraph.without([drop])
+            lefts = sorted(reduced.left)
+            rights = sorted(reduced.right)
+            attach_nbrs = sorted(index[x] for x in bgraph_plain.neighbors(drop))
+            return lefts, rights, sorted(reduced.edges), attach_nbrs
+
+        templates = {"L": stamped(self.gadget.u_L), "R": stamped(self.gadget.v_R)}
+        left = set(range(3 * self.n))
+        right = set(range(3 * self.n, self.core_size))
+        edges = set(self.core_edges)
+        for c in self.copies:
+            lefts, rights, bedges, attach_nbrs = templates[c.side]
+            cursor = c.block_start
+            left.update(cursor + x for x in lefts)
+            right.update(cursor + x for x in rights)
+            edges.update((cursor + a, cursor + b) for a, b in bedges)
+            for x in attach_nbrs:
+                a, b = c.core_vertex, cursor + x
+                edges.add((min(a, b), max(a, b)))
+        return BipartiteGraph.make(left, right, edges)
+
+
+def _g_phi_layout(phi: CnfFormula, w: WbisWeights) -> _GPhiLayout:
+    """Lay out the reduction graph for a CNF formula.
 
     Core ids: u_i = i, ubar_i = n+i, w_i = 2n+i (left side); v_i = 3n+i,
     vbar_i = 4n+i, z_i = 5n+i, y_j = 6n+j (right side), all 0-based.  Copy
@@ -765,54 +865,20 @@ def build_G_phi(phi: CnfFormula, w: WbisWeights) -> GPhiConstruction:
             src = u[i] if lit > 0 else ubar[i]
             core_edges.add((min(src, y[j]), max(src, y[j])))
 
-    left: set[int] = set(u) | set(ubar) | set(wv)
-    right: set[int] = set(v) | set(vbar) | set(z) | set(y)
-    edges: set[tuple[int, int]] = set(core_edges)
-
-    bgraph = gadget.graph
-    bgraph_plain = bgraph.to_graph()
-
-    def stamped(drop: int) -> tuple[list[int], list[int], list[tuple[int, int]], list[int]]:
-        reduced, index = bgraph.without([drop])
-        lefts = sorted(reduced.left)
-        rights = sorted(reduced.right)
-        attach_nbrs = sorted(index[x] for x in bgraph_plain.neighbors(drop))
-        return lefts, rights, sorted(reduced.edges), attach_nbrs
-
-    minus_uL = stamped(gadget.u_L)
-    minus_vR = stamped(gadget.v_R)
-    block_size = bgraph.n - 1
-
-    copies: list[CopyInfo] = []
-    cursor = core_size
-    for j in range(1, 2 * n + m + 1):
-        if j <= n:
-            core_vertex, side, tpl = wv[j - 1], "L", minus_uL
-        elif j <= 2 * n:
-            core_vertex, side, tpl = z[j - n - 1], "R", minus_vR
-        else:
-            core_vertex, side, tpl = y[j - 2 * n - 1], "R", minus_vR
-        lefts, rights, bedges, attach_nbrs = tpl
-        left.update(cursor + x for x in lefts)
-        right.update(cursor + x for x in rights)
-        edges.update((cursor + a, cursor + b) for a, b in bedges)
-        for x in attach_nbrs:
-            a, b = core_vertex, cursor + x
-            edges.add((min(a, b), max(a, b)))
-        copies.append(
-            CopyInfo(
-                index=j,
-                core_vertex=core_vertex,
-                side=side,
-                block_start=cursor,
-                block_size=block_size,
-            )
+    # one copy per w (identified at u_L), then per z and per y (at v_R)
+    hosts = [(x, "L") for x in wv] + [(x, "R") for x in z + y]
+    block_size = gadget.graph.n - 1
+    copies = tuple(
+        CopyInfo(
+            index=j,
+            core_vertex=core_vertex,
+            side=side,
+            block_start=core_size + (j - 1) * block_size,
+            block_size=block_size,
         )
-        cursor += block_size
-
-    graph = BipartiteGraph.make(left, right, edges)
-    return GPhiConstruction(
-        graph=graph,
+        for j, (core_vertex, side) in enumerate(hosts, start=1)
+    )
+    return _GPhiLayout(
         gadget=gadget,
         n=n,
         m=m,
@@ -825,8 +891,15 @@ def build_G_phi(phi: CnfFormula, w: WbisWeights) -> GPhiConstruction:
         y=y,
         core_size=core_size,
         core_edges=frozenset(core_edges),
-        copies=tuple(copies),
+        copies=copies,
     )
+
+
+def build_G_phi(phi: CnfFormula, w: WbisWeights) -> GPhiConstruction:
+    """Assemble the reduction graph for a CNF formula: its layout (see
+    ``_g_phi_layout`` for the vertex ids) and the materialised graph."""
+    layout = _g_phi_layout(phi, w)
+    return GPhiConstruction(graph=layout.materialise(), **vars(layout))
 
 
 # ---------------------------------------------------------------------------
@@ -870,26 +943,30 @@ def verify_sat_reduction(phi: CnfFormula, w: WbisWeights) -> SatReductionReport:
     engine, or the p=2 side-trace sweep — the decomposition is re-checked
     against it, with any disagreement raised as an internal error.  ``ok``
     reports only the mathematical identity.
+
+    The work is done from G_phi's layout: the reported sizes are arithmetic,
+    and the whole graph is built only when one of those cross-checks is
+    about to run on it.
     """
     # #SAT's budget check comes first, so a formula too wide for it is
-    # refused before G_phi, six vertices per variable, is built.
+    # refused before G_phi, six vertices per variable, is laid out.
     sat = count_sat(phi)
-    gp = build_G_phi(phi, w)
-    gadget = gp.gadget
+    layout = _g_phi_layout(phi, w)
+    gadget = layout.gadget
     p = w.p
-    n, m = gp.n, gp.m
+    n, m = layout.n, layout.m
     llv, lrv = w.lambda_l.value, w.lambda_r.value
 
-    core = gp.core_graph()
-    weights = _side_weights(core, llv, lrv)
-    for c in gp.copies:
+    # the core's left vertices (u, ubar, w) come first
+    weights = [(1, llv)] * (3 * n) + [(1, lrv)] * (layout.core_size - 3 * n)
+    for c in layout.copies:
         if c.side == "L":
             f_in, f_out = gadget.f_in_left, gadget.f_out_left
         else:
             f_in, f_out = gadget.f_in_right, gadget.f_out_right
         out_w, in_w = weights[c.core_vertex]
         weights[c.core_vertex] = (out_w * f_out.value, in_w * f_in.value)
-    lhs = ZpScalar.of(_independent_set_sum(core.edges, weights, p), p)
+    lhs = ZpScalar.of(_independent_set_sum(layout.core_edges, weights, p), p)
 
     K = (
         (w.lambda_l * w.lambda_r) ** n
@@ -899,34 +976,37 @@ def verify_sat_reduction(phi: CnfFormula, w: WbisWeights) -> SatReductionReport:
     ok = lhs == K * ZpScalar.of(sat, p)
 
     checks: list[str] = []
-    total_n = gp.graph.n
-    if total_n <= SUBSET_BOUND:
-        flat = z_wbis_subsets(gp.graph, llv, lrv) % p
-        if flat != lhs.value:
-            raise RuntimeError(
-                "internal verification failure: subset enumeration disagrees "
-                "with cut-vertex decomposition"
-            )
-        checks.append("flat_subsets")
-    elif total_n <= BRANCH_BUDGET:
-        whole = z_wbis(gp.graph, w)
-        if whole != lhs:
-            raise RuntimeError(
-                "internal verification failure: whole-graph evaluation "
-                "disagrees with cut-vertex decomposition"
-            )
-        # The name predates the engine; it stays for byte-stable output.
-        checks.append("branching")
-    if total_n > SUBSET_BOUND and min(
-        len(gp.graph.left), len(gp.graph.right)
-    ) <= SIDE_TRACE_BITS:
-        traced = z_wbis_flat(gp.graph, w)
-        if traced != lhs:
-            raise RuntimeError(
-                "internal verification failure: side-trace sweep disagrees "
-                "with cut-vertex decomposition"
-            )
-        checks.append("side_trace")
+    total_n = layout.vertices
+    side_trace = total_n > SUBSET_BOUND and min(
+        layout.left_size, layout.right_size
+    ) <= SIDE_TRACE_BITS
+    if total_n <= BRANCH_BUDGET or side_trace:
+        graph = layout.materialise()
+        if total_n <= SUBSET_BOUND:
+            flat = z_wbis_subsets(graph, llv, lrv) % p
+            if flat != lhs.value:
+                raise RuntimeError(
+                    "internal verification failure: subset enumeration disagrees "
+                    "with cut-vertex decomposition"
+                )
+            checks.append("flat_subsets")
+        elif total_n <= BRANCH_BUDGET:
+            whole = z_wbis(graph, w)
+            if whole != lhs:
+                raise RuntimeError(
+                    "internal verification failure: whole-graph evaluation "
+                    "disagrees with cut-vertex decomposition"
+                )
+            # The name predates the engine; it stays for byte-stable output.
+            checks.append("branching")
+        if side_trace:
+            traced = z_wbis_flat(graph, w)
+            if traced != lhs:
+                raise RuntimeError(
+                    "internal verification failure: side-trace sweep disagrees "
+                    "with cut-vertex decomposition"
+                )
+            checks.append("side_trace")
 
     return SatReductionReport(
         lhs=lhs,
@@ -934,7 +1014,7 @@ def verify_sat_reduction(phi: CnfFormula, w: WbisWeights) -> SatReductionReport:
         sat=sat,
         ok=ok,
         case=gadget.case,
-        vertices=gp.graph.n,
-        edges=gp.graph.m,
+        vertices=total_n,
+        edges=layout.edges,
         checks=tuple(checks),
     )

@@ -150,6 +150,21 @@ def test_wbis_sat_reduce(capsys, files):
     assert doc["lhs"] == 0  # K * 3 mod 3
 
 
+def test_wbis_sat_reduce_at_p97(capsys):
+    """At p=97 each of the 24 gadget copies has 4·96 vertices and
+    192² - 84 edges (k = 84 ≡ -(3·5)^-1), around a core of 48 vertices and
+    72 edges; no cross-check runs on a graph that size."""
+    doc = run_json(
+        capsys,
+        "wbis", "sat-reduce", str(DATA / "phi_6x12.cnf"),
+        "--p", "97", "--lambda-left", "3", "--lambda-right", "5",
+    )
+    assert doc == {
+        "K": 22, "case": "i", "checks": [], "edges": 72 + 24 * (192**2 - 84),
+        "lhs": 17, "ok": True, "p": 97, "sat": 14, "vertices": 48 + 24 * 383,
+    }
+
+
 def test_wbis_sat_reduce_counts_under_the_state_budget(capsys, tmp_path, monkeypatch):
     """#SAT on 25 variables takes 2^25 assignments: within the default
     budget, and refused one below 2^25 with 2^25 named as enough."""
@@ -346,6 +361,15 @@ def test_atlas_beyond_twelve_vertices(capsys):
     assert len(rows) == 2288
     assert sum(row["n"] == 13 for row in rows) == 1301
     assert {row["verdict"] for row in rows} <= {"PolyTime", "Hard"}
+
+
+def test_atlas_refuses_a_repeated_prime(capsys, tmp_path):
+    assert main(["atlas", "--max-n", "4", "--primes", "7,3,3,2"]) == 1
+    assert capsys.readouterr().err == "error: prime 3 is listed twice\n"
+    conf = tmp_path / "twice.json"
+    conf.write_text('{"primes": [5, 2, 5]}')
+    assert main(["--config", str(conf), "atlas", "--max-n", "2"]) == 1
+    assert capsys.readouterr().err == "error: prime 5 is listed twice\n"
 
 
 def test_atlas_rows_are_sound(capsys):

@@ -133,6 +133,25 @@ def test_every_prime_entry_refuses_a_bad_modulus(entry, modulus):
         PRIME_ENTRIES[entry](modulus)
 
 
+def test_scalar_checks_its_modulus_once(monkeypatch):
+    """``of`` tests the modulus once, arithmetic results not again, and a
+    scalar built directly keeps its own check."""
+    from modhom import counting
+
+    seen = []
+    real = counting._assert_prime
+    monkeypatch.setattr(counting, "_assert_prime", lambda p: (seen.append(p), real(p)))
+    a = ZpScalar.of(5, 1_000_003)
+    assert seen == [1_000_003]
+    b = -(a * a + a - a) ** 3
+    assert (b.inverse() * b).is_one() and (b**-2 * b * b).is_one()
+    assert seen == [1_000_003]
+    assert ZpScalar(3, 1_000_003) == zp(3, 1_000_003)
+    assert seen == [1_000_003] * 3
+    with pytest.raises(InputError):
+        ZpScalar.of(1, 0)
+
+
 @given(st.integers(), st.sampled_from([2, 3, 5, 7, 11]))
 @settings(max_examples=80, deadline=None)
 def test_scalar_matches_python_mod(x, p):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from conftest import (
     rand_bip,
     wbis_census,
 )
+from modhom import wbis
 from modhom.counting import zp
 from modhom.errors import BudgetExceededError, InputError, state_budget_scope
 from modhom.graphs import BipartiteGraph, path_graph
@@ -42,6 +44,7 @@ from modhom.wbis import (
 )
 
 RNG_SEED = 0x5EED04
+DATA = Path(__file__).parent / "data"
 
 
 def test_weights_carry_one_modulus():
@@ -178,6 +181,27 @@ def test_subset_oracle_matches_census():
     big = BipartiteGraph.make(range(13), range(13, 25))
     with pytest.raises(BudgetExceededError, match="24 vertices"):
         z_wbis_subsets(big, 1, 1)
+
+
+@st.composite
+def lopsided_bipartite(draw) -> BipartiteGraph:
+    """Sides of 0-6 and 0-7 vertices, either one the larger, with any edge
+    set (isolated vertices are common) and shuffled labels."""
+    nl = draw(st.integers(min_value=0, max_value=6))
+    nr = draw(st.integers(min_value=0, max_value=7))
+    if draw(st.booleans()):
+        nl, nr = nr, nl
+    pairs = [(i, j) for i in range(nl) for j in range(nr)]
+    chosen = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    labels = draw(st.permutations(range(nl + nr)))
+    left, right = labels[:nl], labels[nl:]
+    return BipartiteGraph.make(left, right, [(left[i], right[j]) for i, j in chosen])
+
+
+@given(lopsided_bipartite())
+@settings(max_examples=120, deadline=None)
+def test_side_census_matches_subset_census(g):
+    assert wbis._side_census(g) == wbis_census(g)
 
 
 @st.composite
@@ -457,6 +481,62 @@ def test_g_phi_shape():
     assert starts == [built.core_size + i * block for i in range(len(starts))]
     assert all(c["block_size"] == block for c in doc["copies"])
     assert [c["index"] for c in doc["copies"]] == list(range(1, len(starts) + 1))
+
+
+def _random_formula(rng: random.Random, n: int, m: int) -> CnfFormula:
+    """Clauses of 1-3 literals drawn with replacement, so a clause may
+    repeat a literal or hold both signs of a variable."""
+    literals = [s * v for v in range(1, n + 1) for s in (1, -1)]
+    return CnfFormula(
+        n, tuple(tuple(rng.choices(literals, k=rng.randint(1, 3))) for _ in range(m))
+    )
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_layout_sizes_match_the_built_graph(p):
+    rng = random.Random(f"{RNG_SEED}/layout/{p}")
+    for _ in range(5):
+        n = rng.randint(0, 3)
+        phi = _random_formula(rng, n, rng.randint(0, 3) if n else 0)
+        w = WbisWeights.of(rng.randrange(1, p), rng.randrange(1, p), p)
+        layout = wbis._g_phi_layout(phi, w)
+        graph = layout.materialise()
+        assert (layout.vertices, layout.edges) == (graph.n, graph.m)
+        assert (layout.left_size, layout.right_size) == (
+            len(graph.left),
+            len(graph.right),
+        )
+        assert build_G_phi(phi, w).graph == graph
+
+
+def test_sat_reduction_builds_g_phi_only_for_its_cross_checks(monkeypatch):
+    """At p=97 no cross-check runs, so G_phi (9240 vertices, 882792 edges
+    here) is never built; on the shapes that run checks it still is."""
+    real = wbis._GPhiLayout.materialise
+
+    def refuse(layout):
+        raise AssertionError("G_phi materialised")
+
+    monkeypatch.setattr(wbis._GPhiLayout, "materialise", refuse)
+    phi = parse_dimacs_cnf((DATA / "phi_6x12.cnf").read_text())
+    report = verify_sat_reduction(phi, WbisWeights.of(3, 5, 97))
+    assert report.ok and report.checks == ()
+    assert (report.vertices, report.edges) == (9240, 882792)
+
+    built = []
+
+    def counted(layout):
+        built.append(layout.vertices)
+        return real(layout)
+
+    monkeypatch.setattr(wbis._GPhiLayout, "materialise", counted)
+    rng = random.Random(f"{RNG_SEED}/materialise")
+    for n, m, checks in [(1, 1, ("flat_subsets",)), (2, 2, ("branching", "side_trace"))]:
+        phi = _random_formula(rng, n, m)
+        report = verify_sat_reduction(phi, WbisWeights.of(1, 1, 2))
+        assert report.checks == checks
+        assert built[-1] == report.vertices
+    assert len(built) == 2
 
 
 def test_sat_reduction_refuses_a_wide_formula_first():
