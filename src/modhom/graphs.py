@@ -16,24 +16,24 @@ against the map is one mask comparison.  It only tries to send a vertex to
 vertices of its own class: every isomorphism preserves those classes, so
 the pruning removes no isomorphism, and with candidates tried in ascending
 order the search yields them in lexicographic order of their image arrays.
+The classes come from stable colour refinement (1-WL).  Asked for the
+automorphisms of a prime order p, the search also refuses every arrow that
+no element of order p extends: one that closes a cycle of another length,
+or after which the moved vertices in its colour class can no longer reach
+a multiple of p.
+
 On a forest, :func:`forest_symmetry` makes one pass of AHU canonical codes,
 kept on the graph, that gives the group order exactly, without enumerating
-anything, and the exact orbit classes; the automorphism search uses those
-classes and adds ancestor closure: placing a vertex also maps its unmapped
-ancestors.  Closure makes ordinary arrows in the same map, which every
-pruning test sees, and a vertex whose parent is mapped needs none.  On
-every other graph the classes come from stable colour refinement (1-WL).
-Asked for the automorphisms of a prime order p, the search also refuses
-every arrow that no element of order p extends: one that closes a cycle of
-another length, or after which the moved vertices in its colour class can
-no longer reach a multiple of p.
+anything, the exact orbit classes and the groups of isomorphic sibling
+branches.  The first element of prime order p is built from those groups
+rather than searched for: it rotates p sibling branches and fixes every
+other vertex (see :func:`_forest_rotation`).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -85,8 +85,8 @@ class Graph:
 
     @cached_property
     def _forest_symmetry(self) -> ForestSymmetry | None:
-        # made once per graph: a reduction step, its search and the
-        # certificate search all read it
+        # made once per graph: a reduction step's Cauchy check and its
+        # rotation, and the dichotomy's shortcut, all read it
         return _symmetry_pass(self)
 
     @property
@@ -380,9 +380,8 @@ class Permutation:
     def is_automorphism_of(self, g: Graph) -> bool:
         if self.n != g.n:
             return False
-        return all(
-            g.has_edge(self.images[u], self.images[v]) for u, v in g.edges
-        )
+        images, adj = self.images, g._adj
+        return all(images[v] in adj[images[u]] for u, v in g.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +664,6 @@ def _iter_isomorphisms(
     colour_a: Sequence[int],
     colour_b: Sequence[int],
     order: int | None = None,
-    forest: ForestSymmetry | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Yield the isomorphisms a -> b that keep colours, as image arrays in
     lexicographic order.
@@ -673,11 +671,10 @@ def _iter_isomorphisms(
     The search keeps one partial map from ``a`` to ``b``, as an image per
     vertex and a mask of the images used.  Vertices 0..n-1 of ``a`` are
     placed in turn, each on the unused vertices of ``b`` with its colour in
-    ascending order; a vertex the map already holds is skipped.  Each
-    placement makes arrows v -> w and records them, so backtracking takes
-    back exactly what it made.  Every arrow passes the same tests: its
-    image is unused and of the same colour, and the images of v's mapped
-    neighbours are exactly w's neighbours among the images used.
+    ascending order; a placement makes the arrow v -> w, and backtracking
+    takes it back.  An arrow passes when its image is unused and of the
+    same colour, and the images of v's mapped neighbours are exactly w's
+    neighbours among the images used.
 
     A prime ``order`` p is only meaningful when ``b`` is ``a``: then only
     the maps whose cycles all have length 1 or p are yielded (the identity
@@ -685,20 +682,6 @@ def _iter_isomorphisms(
     of a class smaller than p is fixed, and an arrow is refused when it
     closes a cycle of another length, or when the vertices the map moves in
     its class can no longer reach a multiple of p.
-
-    ``forest``, the :func:`forest_symmetry` of ``a`` when ``b`` is ``a``
-    and the colours are its orbit classes, adds ancestor closure: every
-    automorphism maps parents to parents and bicentre partners to partners,
-    so placing v on w also makes the arrow from each unmapped ancestor of v
-    to the matching vertex above w, up to the first mapped one (and, at a
-    bicentre, from the root's partner to its image's partner).  These are
-    ordinary arrows in the one map: they pass every test above, the
-    order-p tests included, and later vertices see them as used.  A vertex
-    whose parent is mapped needs no closure: the adjacency test already
-    sends it to a child of its parent's image.  On a tree rooted at its
-    centre a partial map extends to an automorphism iff its closure is a
-    consistent injection, so leaves placed before their parents no longer
-    multiply the search.
 
     Pruning only drops partial maps that no yielded map extends, so the
     rest come out in the same order.  Each candidate tried is a placement;
@@ -722,15 +705,10 @@ def _iter_isomorphisms(
             mask if mask.bit_count() >= order else 1 << v
             for v, mask in enumerate(same_class)
         ]
-    up = partner = (-1,) * n
-    if forest is not None:
-        up, partner = forest.parent, forest.partner
-
-    image = [-1] * n  # the partial map: placed and forced vertices alike
+    image = [-1] * n  # the partial map
     used = 0  # its images
-    made: list[list[int]] = [[] for _ in range(n)]  # level v: what its arrows map
     candidates = [0] * n  # level v: untried images for v
-    wanted = [0] * n  # images of r's mapped neighbours, for an arrow from r
+    wanted = [0] * n  # level v: images of v's mapped neighbours
     # order-p mode, per colour class: vertices the partial map moves, and
     # vertices neither mapped nor an image; per vertex: how many vertices
     # mapping it took out of the free count
@@ -742,15 +720,13 @@ def _iter_isomorphisms(
     v = 0
     candidates[0] = same_class[0]
     while v >= 0:
-        log = made[v]
-        while log:  # take back the last placement at this level
-            r = log.pop()
-            s = image[r]
-            image[r] = -1
+        s = image[v]
+        if s >= 0:  # take back the placement at this level
+            image[v] = -1
             used ^= 1 << s
             if order is not None:
-                moved[colour_a[r]] -= freed[r] if s != r else 0
-                free[colour_a[r]] += freed[r]
+                moved[colour_a[v]] -= freed[v] if s != v else 0
+                free[colour_a[v]] += freed[v]
         cand = candidates[v]
         if not cand:
             v -= 1
@@ -763,55 +739,36 @@ def _iter_isomorphisms(
             )
         low = cand & -cand
         candidates[v] = cand ^ low
-        # make the arrow v -> w, then on a forest one arrow from each
-        # unmapped ancestor of v (then a root's partner) to the matching
-        # vertex above w, until an arrow fails a test; v's candidates are
-        # unused and of v's class
-        r, s = v, low.bit_length() - 1
-        while adj_b[s] & used == wanted[r]:
-            if order is not None:
-                # the arrow r -> s closes a cycle iff the chain of arrows
-                # from s comes back to r
-                x, arrows = s, 1
-                while x != r and image[x] >= 0:
-                    x = image[x]
-                    arrows += 1
-                if x == r and arrows not in (1, order):
-                    break
-                # a fixed r leaves the free count; otherwise r and s are
-                # newly moved unless r is an image or s is mapped
-                if s == r:
-                    dm, gone = 0, 1
-                else:
-                    dm = gone = (not used >> r & 1) + (image[s] < 0)
-                # a class's moved vertices fill p-cycles, so their count
-                # must reach a multiple of p with the free vertices left
-                c = colour_a[r]
-                if -(moved[c] + dm) % order > free[c] - gone:
-                    break
-                moved[c] += dm
-                free[c] -= gone
-                freed[r] = gone
-            image[r] = s
-            used |= 1 << s
-            log.append(r)
-            u, x = up[r], up[s]
-            if u < 0:
-                u, x = partner[r], partner[s]
-            if u < 0 or image[u] >= 0:
-                r = -1  # no arrow left to make
-                break
-            # x is unused, as the adjacency test on r -> s saw its neighbour
-            # x outside the map, and of u's class, as orbit classes chain
-            # through parents (a class smaller than p fails the moved count)
-            r, s = u, x
-            wanted[r] = sum(1 << image[y] for y in nbrs[r] if image[y] >= 0)
-        if r >= 0:
-            continue  # an arrow failed: the next pass takes back the rest
+        # the arrow v -> s: v's candidates are unused and of v's class
+        s = low.bit_length() - 1
+        if adj_b[s] & used != wanted[v]:
+            continue
+        if order is not None:
+            # the arrow closes a cycle iff the chain of arrows from s comes
+            # back to v
+            x, arrows = s, 1
+            while x != v and image[x] >= 0:
+                x = image[x]
+                arrows += 1
+            if x == v and arrows not in (1, order):
+                continue
+            # a fixed v leaves the free count; otherwise v and s are newly
+            # moved unless v is an image or s is mapped
+            if s == v:
+                dm, gone = 0, 1
+            else:
+                dm = gone = (not used >> v & 1) + (image[s] < 0)
+            # a class's moved vertices fill p-cycles, so their count must
+            # reach a multiple of p with the free vertices left
+            c = colour_a[v]
+            if -(moved[c] + dm) % order > free[c] - gone:
+                continue
+            moved[c] += dm
+            free[c] -= gone
+            freed[v] = gone
+        image[v] = s
+        used |= 1 << s
         v += 1
-        while v < n and image[v] >= 0:  # mapped by closure: nothing to place
-            candidates[v] = 0
-            v += 1
         if v < n:
             candidates[v] = same_class[v] & ~used
             wanted[v] = sum(1 << image[u] for u in nbrs[v] if image[u] >= 0)
@@ -867,25 +824,20 @@ def iter_automorphisms(
 ) -> Iterator[Permutation]:
     """Yield automorphisms in lexicographic order of their image arrays.
 
-    This is the isomorphism search from ``g`` to itself.  On a forest it
-    runs over the orbit classes of :func:`forest_symmetry` with ancestor
-    closure; on any other graph over the classes of colour refinement (1-WL)
-    seeded with degrees.  With a prime ``order`` p, only the non-identity
-    automorphisms whose cycles all have length 1 or p are yielded: exactly
-    the elements of order p, found with the pruning described in
-    :func:`_iter_isomorphisms`.  Any other order raises :class:`InputError`.
+    This is the isomorphism search from ``g`` to itself, over the classes
+    of colour refinement (1-WL) seeded with degrees.  With a prime
+    ``order`` p, only the non-identity automorphisms whose cycles all have
+    length 1 or p are yielded: exactly the elements of order p, found with
+    the pruning described in :func:`_iter_isomorphisms`.  Any other order
+    raises :class:`InputError`.
     """
     from .counting import is_prime
 
     if order is not None and not is_prime(order):
         raise InputError(f"automorphism order {order} is not a prime")
-    symmetry = forest_symmetry(g)
-    if symmetry is None:
-        colour = _stable_colours(g._adj, [g.degree(v) for v in range(g.n)])
-    else:
-        colour = symmetry.orbit
+    colour = _stable_colours(g._adj, [g.degree(v) for v in range(g.n)])
     identity = tuple(range(g.n))
-    for images in _iter_isomorphisms(g, g, colour, colour, order, symmetry):
+    for images in _iter_isomorphisms(g, g, colour, colour, order):
         if order is None or images != identity:
             yield Permutation(images)
 
@@ -912,21 +864,31 @@ class ForestSymmetry:
     Each tree is rooted at its centre, or at both ends of its central edge
     (its bicentre).  Tuples are indexed by vertex: ``orbit[v]`` is v's orbit
     class (two vertices share one iff some automorphism maps one onto the
-    other), ``parent[v]`` is v's parent (-1 at a root) and ``partner[v]``
-    is the other end of v's central edge (-1 unless v is a bicentre
-    vertex).  Every automorphism maps parents to parents and partners to
-    partners.  ``order`` is |Aut|.
+    other), ``parent[v]`` is v's parent (-1 at a root), ``partner[v]`` is
+    the other end of v's central edge (-1 unless v is a bicentre vertex)
+    and ``minimum[v]`` is the least vertex of the subtree rooted at v (at a
+    bicentre vertex, of its half).  Every automorphism maps parents to
+    parents and partners to partners.  ``order`` is |Aut|.
+
+    ``groups`` lists every set of two or more pairwise isomorphic sibling
+    branches, each as the ascending tuple of the branches' roots: the
+    children of one vertex that share a code; the two halves of a bicentre
+    when they are isomorphic; and two or more isomorphic trees, each named
+    by its least root (a bicentred tree is both its halves).
     """
 
     order: int
     orbit: tuple[int, ...]
     parent: tuple[int, ...]
     partner: tuple[int, ...]
+    minimum: tuple[int, ...]
+    groups: tuple[tuple[int, ...], ...]
 
 
 def forest_symmetry(g: Graph) -> ForestSymmetry | None:
-    """The orbit classes, rooting and |Aut| of a forest from one pass of AHU
-    canonical codes (Aho, Hopcroft & Ullman 1974); None if g has a cycle.
+    """The orbit classes, rooting, sibling groups and |Aut| of a forest from
+    one pass of AHU canonical codes (Aho, Hopcroft & Ullman 1974); None if
+    g has a cycle.
 
     The pass is made once per graph and kept on it; see
     :func:`_symmetry_pass`.
@@ -939,12 +901,14 @@ def _symmetry_pass(g: Graph) -> ForestSymmetry | None:
     centre last, or its two bicentre vertices together; a vertex's parent
     is the neighbour peeled after it.  A vertex's code interns its
     children's sorted codes, so two rooted subtrees share a code exactly
-    when they are isomorphic.  The group order is the product over vertices
-    of k! for every k children with equal codes, times 2 for each tree with
-    isomorphic halves, times k! for every k pairwise isomorphic trees.  A
-    vertex's orbit label chains its code with its parent's label; a root's
-    label is its tree's code, so the halves of a bicentre share a label
-    when they are isomorphic, and so do isomorphic trees.  Nothing is
+    when they are isomorphic.  Children are met before their parents, so
+    the same loop groups each vertex's children by code and passes the
+    least vertex of each subtree up.  The group order is the product over
+    vertices of k! for every k children with equal codes, times 2 for each
+    tree with isomorphic halves, times k! for every k pairwise isomorphic
+    trees.  A vertex's orbit label chains its code with its parent's label;
+    a root's label is its tree's code, so the halves of a bicentre share a
+    label when they are isomorphic, and so do isomorphic trees.  Nothing is
     enumerated, so there is no size bound.
     """
     n = g.n
@@ -975,7 +939,9 @@ def _symmetry_pass(g: Graph) -> ForestSymmetry | None:
 
     codes = {(): 0}  # sorted child codes -> code; leaves get 0
     code = [0] * n
-    kids: list[list[int]] = [[] for _ in range(n)]
+    minimum = list(range(n))
+    kids: list[list[int]] = [[] for _ in range(n)]  # child codes
+    groups: list[tuple[int, ...]] = []
     roots = []
     order = 1
     for v in peel:  # children before parents
@@ -987,24 +953,33 @@ def _symmetry_pass(g: Graph) -> ForestSymmetry | None:
                 for prev, kid in zip(ks, ks[1:]):
                     run = run + 1 if kid == prev else 1
                     order *= run  # a run of k equal codes gives 2*3*...*k = k!
+                    if run == 2:  # the children with code kid form a group
+                        groups.append(
+                            tuple(sorted(w for w in adj[v] if parent[w] == v and code[w] == kid))
+                        )
             code[v] = codes.setdefault(tuple(ks), len(codes))
         u = parent[v]
         if u >= 0:
             kids[u].append(code[v])
+            if minimum[v] < minimum[u]:
+                minimum[u] = minimum[v]
         else:
             roots.append(v)
 
-    trees: Counter[tuple[int, ...]] = Counter()
-    for v in roots:
+    trees: dict[tuple[int, ...], list[int]] = {}
+    for v in sorted(roots):
         x = partner[v]
         if x < 0:
-            trees[(code[v],)] += 1
+            trees.setdefault((code[v],), []).append(v)
         elif v < x:
-            trees[(min(code[v], code[x]), max(code[v], code[x]))] += 1
+            trees.setdefault((min(code[v], code[x]), max(code[v], code[x])), []).append(v)
             if code[v] == code[x]:
                 order *= 2
-    for k in trees.values():
-        order *= math.factorial(k)
+                groups.append((v, x))
+    for same in trees.values():
+        order *= math.factorial(len(same))
+        if len(same) > 1:
+            groups.append(tuple(same))
 
     labels: dict[tuple[int, ...], int] = {}
     orbit = [0] * n
@@ -1017,7 +992,145 @@ def _symmetry_pass(g: Graph) -> ForestSymmetry | None:
         else:
             key = (-2, code[v], code[partner[v]])
         orbit[v] = labels.setdefault(key, len(labels))
-    return ForestSymmetry(order, tuple(orbit), tuple(parent), tuple(partner))
+    return ForestSymmetry(
+        order, tuple(orbit), tuple(parent), tuple(partner), tuple(minimum), tuple(groups)
+    )
+
+
+def _forest_rotation(g: Graph, p: int) -> Permutation | None:
+    """The lexicographically first automorphism of prime order p of the
+    forest g, built from :func:`forest_symmetry` rather than searched; None
+    when there is none, which is exactly when p does not divide |Aut|.
+
+    Let σ have order p and let t be a topmost vertex it moves.  The p
+    branches at t, σ(t), ... are isomorphic siblings: the subtrees at
+    equal-code children of one vertex, p isomorphic trees, or at p = 2 the
+    two halves of a bicentre.  σ restricted to them, fixing everything
+    else, is an automorphism ρ of order p that agrees with σ on its own
+    support, so ρ is lexicographically no later than σ.  The first element
+    therefore rotates p branches of one group, and of two such rotations
+    the one whose least moved vertex is larger comes first.  In a group
+    that least vertex is at most the p-th largest branch minimum, reached
+    by the p branches with the largest minima: the group where it is
+    largest wins, and only its branches are placed.  No two groups tie on
+    it: a tie means one group lies inside a chosen branch X of the other,
+    and then the copy of that group inside another chosen branch, whose
+    vertices all exceed X's least one, does better than both.
+    """
+    sym = g._forest_symmetry
+    partner, minimum = sym.partner, sym.minimum
+    best: list[tuple[int, int]] = []  # (least vertex, root) of the chosen branches
+    for group in sym.groups:
+        if len(group) >= p:
+            ranked = sorted(
+                # a bicentred root's branch is its whole tree
+                (minimum[r] if partner[r] < 0 else min(minimum[r], minimum[partner[r]]), r)
+                for r in group
+            )[-p:]
+            if not best or ranked[0] > best[0]:
+                best = ranked
+    if not best:
+        return None
+    return Permutation(_place_rotation(g, [r for _, r in best], p))
+
+
+def _place_rotation(g: Graph, roots: Sequence[int], p: int) -> tuple[int, ...]:
+    """The lexicographically first automorphism of order p that maps the
+    isomorphic sibling branches at ``roots`` onto each other and fixes
+    every other vertex, as an image array.  A bicentred root brings its
+    whole tree, which for the two halves of a bicentre is their union.
+
+    The branches' vertices are placed in id order, each on the unused
+    vertices of its orbit class among the branches in ascending order.
+    Placing v on w also makes the arrow from each unmapped ancestor of v
+    to the matching vertex above w, up to the first mapped one, and at a
+    root from its partner to its image's partner (ancestor closure); a
+    vertex outside the branches counts as mapped to itself, so a branch
+    root only goes to a sibling.  An arrow is refused when its image is
+    used, when a mapped ancestor has another image, when it closes a cycle
+    shorter than p, or when it makes a chain of p arrows.  Closure can
+    still leave a dead end further down, where a vertex's cycle needs an
+    image another chain has taken, so the placement backtracks; each
+    candidate tried is a placement, counted against the state budget.
+    """
+    sym = g._forest_symmetry
+    parent, partner, orbit = sym.parent, sym.partner, sym.orbit
+    adj = g._adj
+    inside = list({x for r in roots for x in (r, partner[r]) if x >= 0})
+    for x in inside:  # grows while iterating: every vertex below a root
+        inside.extend(w for w in adj[x] if parent[w] == x)
+    inside.sort()
+    image = list(range(g.n))  # the map, fixing every vertex outside
+    if len(inside) == p:  # single vertices: the first rotation is their cycle
+        for v, w in zip(inside, inside[1:] + inside[:1]):
+            image[v] = w
+        return tuple(image)
+    pre = [-1] * g.n  # inverse of the map on the branches
+    same: dict[int, list[int]] = {}  # orbit class -> its vertices, ascending
+    for v in inside:
+        image[v] = -1
+        same.setdefault(orbit[v], []).append(v)
+
+    def arrows(r: int, s: int, made: list[int]) -> bool:
+        """Make r -> s and its closure, recording each arrow in ``made``;
+        False at the first arrow refused."""
+        while True:
+            if pre[s] >= 0:
+                return False
+            x, length = s, 1  # follow the chain on from s, then back from r
+            while x != r and image[x] >= 0:
+                x, length = image[x], length + 1
+            if x != r:
+                y = r
+                while pre[y] >= 0:
+                    y, length = pre[y], length + 1
+            if length > p or (x == r) != (length == p):
+                return False
+            image[r], pre[s] = s, r
+            made.append(r)
+            u, x = parent[r], parent[s]
+            if u < 0:
+                u, x = partner[r], partner[s]
+            if u < 0:
+                return True
+            if image[u] >= 0:
+                return image[u] == x
+            r, s = u, x
+
+    budget = state_budget_default()
+    placements = 0
+    frames: list[tuple[int, int, list[int]]] = []  # level, next candidate, arrows
+    level = tried = 0
+    made: list[int] = []  # the arrows of the placement being tried
+    while True:
+        while made:  # take back a refused or abandoned placement
+            r = made.pop()
+            pre[image[r]] = image[r] = -1
+        while level < len(inside) and image[inside[level]] >= 0:
+            level += 1  # mapped by closure
+        if level == len(inside):
+            return tuple(image)
+        candidates = same[orbit[inside[level]]]
+        while tried < len(candidates) and pre[candidates[tried]] >= 0:
+            tried += 1
+        if tried == len(candidates):
+            if not frames:
+                raise RuntimeError(
+                    "internal verification failure: isomorphic branches admit no rotation"
+                )
+            level, tried, made = frames.pop()
+            continue
+        placements += 1
+        if placements > budget:
+            raise over_budget(
+                f"rotation of {p} branches on {len(inside)} vertices made "
+                f"{placements} placements",
+                budget,
+            )
+        tried += 1
+        if arrows(inside[level], candidates[tried - 1], made):
+            frames.append((level, tried, made))
+            level, tried, made = level + 1, 0, []
 
 
 # ---------------------------------------------------------------------------

@@ -6,17 +6,21 @@ Iterating until no order-p automorphism remains yields the reduced form.  The
 reduced form is unique up to isomorphism; ``tie_break="all_paths"`` checks
 that empirically by exploring every reduction order.
 
-The order-p search takes the lexicographically first automorphism of order
-p, so the labels of every reduced graph are deterministic; it visits only
-partial maps that can still become an element of order p.  Its answer is
-checked against |Aut| by Cauchy's theorem (an element of order p exists iff
-p divides it).  On forests of every size one canonical-code pass per step
-(:func:`~modhom.graphs.forest_symmetry`) gives |Aut| exactly and also seeds
-the search with the orbit classes and the rooting it prunes by; on other
-graphs of at most 8 vertices |Aut| comes from the listed group;
-larger graphs with cycles go unchecked.  Above 8 vertices a known |Aut|
-that p does not divide answers None without searching.  No vertex count
-limits the search: its placements count against the state budget.
+Each step takes the lexicographically first automorphism of order p, so
+the labels of every reduced graph are deterministic.  On a forest that
+element moves exactly p isomorphic sibling branches (the subtrees at
+equal-code children of one vertex, p isomorphic trees, or at p = 2 the two
+halves of a bicentre) and fixes every other vertex, so it is built from one
+canonical-code pass per step (:func:`~modhom.graphs.forest_symmetry`): the
+p branches with the largest least vertices in the group where the p-th
+largest is largest, placed onto each other.  Other graphs run the search,
+which visits only partial maps that can still become an element of order p.
+The answer is checked against |Aut| by Cauchy's theorem (an element of
+order p exists iff p divides it): on forests of every size |Aut| comes from
+the same pass, on other graphs of at most 8 vertices from the listed group;
+larger graphs with cycles go unchecked.  Every cycle of the element must
+have length p.  No vertex count limits either route: placements count
+against the state budget.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .errors import BudgetExceededError, InputError
 from .graphs import (
     Graph,
     Permutation,
+    _forest_rotation,
     are_isomorphic,
     automorphism_group,
     forest_symmetry,
@@ -42,28 +47,31 @@ ALL_PATHS_BOUND = 10
 def find_order_p_automorphism(h: Graph, p: int) -> Permutation | None:
     """First (lex by images) automorphism of order exactly p, or None.
 
-    The search lists only elements of order p (see
-    :func:`iter_automorphisms`) and is checked against |Aut(h)| by Cauchy's
-    theorem: an element of order p exists iff p divides the group order.
-    On a forest one :func:`forest_symmetry` pass gives the order; the pass
-    is kept on the graph, and the search reads it rather than making it
-    again.  On any other graph of at most 8 vertices the order comes from
-    the full group.  Up to 8 vertices the search always runs and the check
-    is two-sided.  Above that a known order that p does not divide answers
-    None at once, and an empty search where p divides it fails the check.
-    Past the state budget the search raises :class:`BudgetExceededError`.
+    On a forest the element is built from the sibling groups of its
+    :func:`forest_symmetry` pass, which is kept on the graph and also gives
+    |Aut(h)|.  Any other graph runs the search, which lists only elements
+    of order p (see :func:`iter_automorphisms`); at most 8 vertices, the
+    listed group gives |Aut(h)|.  A known order is checked both ways by
+    Cauchy's theorem: an element of order p exists iff p divides it.  Every
+    cycle of the element found must have length p.  Past the state budget
+    either route raises :class:`BudgetExceededError`.
     """
     _assert_prime(p)
     symmetry = forest_symmetry(h)
-    group_order = None if symmetry is None else symmetry.order
-    if group_order is None and h.n <= FULL_GROUP_BOUND:
-        group_order = len(automorphism_group(h))
-    if group_order is not None and group_order % p and h.n > FULL_GROUP_BOUND:
-        return None
-    found = next(iter_automorphisms(h, order=p), None)
+    if symmetry is not None:
+        group_order: int | None = symmetry.order
+        found = _forest_rotation(h, p)
+    else:
+        group_order = len(automorphism_group(h)) if h.n <= FULL_GROUP_BOUND else None
+        found = next(iter_automorphisms(h, order=p), None)
     assert group_order is None or (found is not None) == (group_order % p == 0), (
         "internal verification failure: Cauchy criterion violated"
     )
+    if found is not None:
+        cycles = found.cycles()
+        assert cycles and all(len(c) == p for c in cycles), (
+            f"internal verification failure: the element's cycles are not all of length {p}"
+        )
     return found
 
 

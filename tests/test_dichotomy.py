@@ -14,6 +14,7 @@ from conftest import (
     check_certificate_path,
     double_star,
     flat_components,
+    flat_forest_reduced_codes,
     flat_hom_count,
     flat_tree_code,
     flat_tree_reduced_code,
@@ -496,6 +497,53 @@ def random_forest(rng: random.Random) -> Graph:
             parts.append(rand_tree(rng, rng.randint(2, 8)))
     g = disjoint_union(*parts)
     return g.relabel(rng.sample(range(g.n), g.n))
+
+
+def many_copies_tree(seed: int) -> Graph:
+    """5-6 copies of one random branch of 1-8 vertices hung from the hub 0,
+    then paths from the hub until there are 80 vertices, relabelled."""
+    rng = random.Random(seed)
+    copies, size = rng.randint(5, 6), rng.randint(1, 8)
+    branch = rand_tree(rng, size)
+    edges, n = [], 1
+    for _ in range(copies):
+        edges += [(0, n)] + [(n + u, n + v) for u, v in branch.edges]
+        n += size
+    while n < 80:
+        tail = min(rng.randint(0, 80 - n), 20)
+        if tail:
+            edges += [(0, n)] + [(n + i, n + i + 1) for i in range(tail - 1)]
+            n += tail
+    images = list(range(n))
+    rng.shuffle(images)
+    return Graph.make(n, edges).relabel(images)
+
+
+def six_stars_forest(seed: int) -> Graph:
+    """Six copies of K_{1,4} beside random trees of 7, 10 and 12 vertices,
+    relabelled."""
+    rng = random.Random(seed)
+    g = disjoint_union(*[star_graph(4)] * 6, *(rand_tree(rng, k) for k in (7, 10, 12)))
+    images = list(range(g.n))
+    rng.shuffle(images)
+    return g.relabel(images)
+
+
+@pytest.mark.parametrize(
+    "h",
+    [many_copies_tree(884), many_copies_tree(1235), six_stars_forest(2)],
+    ids=["many-copies-884", "many-copies-1235", "six-stars-2"],
+)
+def test_classify_answers_many_copies_of_a_branch(h):
+    """Five of the copies rotate at p = 5 within 10^4 placements.  On seed
+    1235 the placement of the rotated branches meets a dead end and must
+    backtrack; a search over the whole graph refused the six stars."""
+    with state_budget_scope(10**4):
+        cls = classify(h, 5)
+    reduced = cls.reduced.result
+    codes = sorted(flat_tree_code(reduced.induced(c)) for c in flat_components(reduced))
+    assert codes == flat_forest_reduced_codes(h, 5)
+    assert cls.verdict == ("PolyTime" if forest_of_stars(reduced) else "Hard")
 
 
 def test_classify_on_forests_matches_naive_oracle():

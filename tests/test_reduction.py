@@ -76,36 +76,70 @@ def test_forest_shortcut_skips_the_search(monkeypatch):
     # double star with 5 + 5 leaves: |Aut| = 5! * 5! * 2, not divisible by 7
     t = Graph.make(12, [(0, 1)] + [(0, v) for v in range(2, 7)] + [(1, v) for v in range(7, 12)])
     assert find_order_p_automorphism(t, 7) is None
+    # a forest's element is built, never searched for
+    assert find_order_p_automorphism(t, 5).cycles() == ((7, 8, 9, 10, 11),)
 
 
 def test_empty_search_on_a_forest_fails_the_cauchy_check(monkeypatch):
-    monkeypatch.setattr(reduction, "iter_automorphisms", lambda h, *, order=None: iter(()))
+    monkeypatch.setattr(reduction, "_forest_rotation", lambda h, p: None)
     with pytest.raises(AssertionError, match="Cauchy criterion violated"):
         find_order_p_automorphism(star_graph(9), 3)
-    # off forests there is no exact group order to check against
+    # a forest of any size is checked against its exact group order
+    with pytest.raises(AssertionError, match="Cauchy criterion violated"):
+        find_order_p_automorphism(star_graph(300), 3)
+    # off forests above 8 vertices there is no exact group order to check against
+    monkeypatch.setattr(reduction, "iter_automorphisms", lambda h, *, order=None: iter(()))
     assert find_order_p_automorphism(cycle_graph(9), 3) is None
 
 
 def test_empty_search_at_full_group_size_fails_the_cauchy_check(monkeypatch):
     # |Aut(K_{1,3})| = 6: an element of order 3 must exist
-    monkeypatch.setattr(reduction, "iter_automorphisms", lambda h, *, order=None: iter(()))
+    monkeypatch.setattr(reduction, "_forest_rotation", lambda h, p: None)
     with pytest.raises(AssertionError, match="Cauchy criterion violated"):
         find_order_p_automorphism(star_graph(3), 3)
     # off forests the listed group gives the order: |Aut(C_6)| = 12
+    monkeypatch.setattr(reduction, "iter_automorphisms", lambda h, *, order=None: iter(()))
     with pytest.raises(AssertionError, match="Cauchy criterion violated"):
         find_order_p_automorphism(cycle_graph(6), 3)
 
 
 def test_spurious_element_at_full_group_size_fails_the_cauchy_check(monkeypatch):
-    # |Aut(P_3)| = 2, so no element of order 3 can exist; the search runs
-    # anyway at this size and its answer is checked
-    p3 = path_graph(3)
+    # |Aut(P_3)| = 2 and |Aut(C_5)| = 10, so neither has an element of
+    # order 3; an element that appears anyway is checked
     flip = Permutation((2, 1, 0))
+    monkeypatch.setattr(reduction, "_forest_rotation", lambda h, p: flip)
+    with pytest.raises(AssertionError, match="Cauchy criterion violated"):
+        find_order_p_automorphism(path_graph(3), 3)
+    # P_12 is past the full-group bound; its exact order 2 still checks
     monkeypatch.setattr(
-        reduction, "iter_automorphisms", lambda h, *, order=None: iter((flip,))
+        reduction, "_forest_rotation", lambda h, p: Permutation(tuple(range(h.n))[::-1])
     )
     with pytest.raises(AssertionError, match="Cauchy criterion violated"):
-        find_order_p_automorphism(p3, 3)
+        find_order_p_automorphism(path_graph(12), 3)
+    reflection = Permutation((0, 4, 3, 2, 1))
+    monkeypatch.setattr(
+        reduction, "iter_automorphisms", lambda h, *, order=None: iter((reflection,))
+    )
+    with pytest.raises(AssertionError, match="Cauchy criterion violated"):
+        find_order_p_automorphism(cycle_graph(5), 3)
+
+
+def test_element_with_a_cycle_of_another_length_fails_the_check(monkeypatch):
+    # |Aut(K_{1,3})| = 6 passes Cauchy at p = 3, but neither a transposition
+    # of two leaves nor the identity has order 3
+    star = star_graph(3)
+    for wrong in ((0, 2, 1, 3), (0, 1, 2, 3)):
+        monkeypatch.setattr(reduction, "_forest_rotation", lambda h, p: Permutation(wrong))
+        with pytest.raises(AssertionError, match="cycles are not all of length 3"):
+            find_order_p_automorphism(star, 3)
+    # off forests the search's element is checked the same way: C_6 has
+    # elements of order 3, but not this one of order 6
+    rotation = Permutation((1, 2, 3, 4, 5, 0))
+    monkeypatch.setattr(
+        reduction, "iter_automorphisms", lambda h, *, order=None: iter((rotation,))
+    )
+    with pytest.raises(AssertionError, match="cycles are not all of length 3"):
+        find_order_p_automorphism(cycle_graph(6), 3)
 
 
 def _copies_under_a_hub(branch: Graph, copies: int) -> Graph:
@@ -164,6 +198,20 @@ def test_order_p_element_is_the_lex_first_of_the_flat_group():
             found = find_order_p_automorphism(g, p)
             first = next((a for a in auts if flat_order(a) == p), None)
             assert (found and found.images) == first
+
+
+def test_rotation_placements_count_against_the_state_budget():
+    # three two-vertex branches on a hub: vertices 1-4 each have one image
+    # refused before the one they keep; 5 and 6 take the one image left
+    g = _copies_under_a_hub(path_graph(2), 3)
+    with state_budget_scope(9):
+        with pytest.raises(
+            BudgetExceededError,
+            match="rotation of 3 branches on 6 vertices made 10 placements > state budget 9;",
+        ):
+            find_order_p_automorphism(g, 3)
+    with state_budget_scope(10):
+        assert find_order_p_automorphism(g, 3).cycle_notation() == "(1 3 5)(2 4 6)"
 
 
 def test_one_symmetry_pass_per_step(monkeypatch):
