@@ -36,7 +36,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import BudgetExceededError, InputError, over_budget, state_budget_default
 
@@ -139,7 +139,9 @@ class Graph:
         edges = [
             (index[u], index[v]) for u, v in self.edges if u in index and v in index
         ]
-        return Graph.make(len(kept), edges)
+        # the relabelling keeps the order of the kept vertices, so each edge
+        # stays normalised
+        return Graph(len(kept), frozenset(edges))
 
     def relabel(self, images: Sequence[int]) -> "Graph":
         """Apply the vertex bijection v -> images[v]."""
@@ -868,7 +870,8 @@ class ForestSymmetry:
     the other end of v's central edge (-1 unless v is a bicentre vertex)
     and ``minimum[v]`` is the least vertex of the subtree rooted at v (at a
     bicentre vertex, of its half).  Every automorphism maps parents to
-    parents and partners to partners.  ``order`` is |Aut|.
+    parents and partners to partners.  ``order`` is |Aut|, and ``peel``
+    lists every vertex, children before parents.
 
     ``groups`` lists every set of two or more pairwise isomorphic sibling
     branches, each as the ascending tuple of the branches' roots: the
@@ -883,6 +886,7 @@ class ForestSymmetry:
     partner: tuple[int, ...]
     minimum: tuple[int, ...]
     groups: tuple[tuple[int, ...], ...]
+    peel: tuple[int, ...]
 
 
 def forest_symmetry(g: Graph) -> ForestSymmetry | None:
@@ -913,27 +917,7 @@ def _symmetry_pass(g: Graph) -> ForestSymmetry | None:
     """
     n = g.n
     adj = g._adj
-    left = [len(ws) for ws in adj]  # neighbours that have not peeled it
-    height = [-1] * n  # peeling round
-    parent = [-1] * n
-    partner = [-1] * n
-    peel = [v for v in range(n) if left[v] <= 1]
-    for v in peel:
-        height[v] = 0
-    for v in peel:  # grows while iterating: round by round
-        h = height[v]
-        for w in adj[v]:
-            hw = height[w]
-            if hw < 0:
-                left[w] -= 1
-                if left[w] == 1:
-                    height[w] = h + 1
-                    peel.append(w)
-                parent[v] = w
-            elif hw > h:
-                parent[v] = w
-            elif hw == h:
-                partner[v] = w
+    peel, parent, partner = _peel(adj)
     if len(peel) < n:
         return None  # a cycle never peels
 
@@ -993,8 +977,47 @@ def _symmetry_pass(g: Graph) -> ForestSymmetry | None:
             key = (-2, code[v], code[partner[v]])
         orbit[v] = labels.setdefault(key, len(labels))
     return ForestSymmetry(
-        order, tuple(orbit), tuple(parent), tuple(partner), tuple(minimum), tuple(groups)
+        order,
+        tuple(orbit),
+        tuple(parent),
+        tuple(partner),
+        tuple(minimum),
+        tuple(groups),
+        tuple(peel),
     )
+
+
+def _peel(
+    adj: Sequence[Collection[int]], among: Iterable[int] | None = None
+) -> tuple[list[int], list[int], list[int]]:
+    """Peel every leaf at once, round after round: the vertices in the
+    order peeled (children before parents; short of all of them when there
+    is a cycle), each vertex's parent (the neighbour peeled after it, -1 at
+    a root) and partner (the other end of a central edge, else -1).  With
+    ``among``, only those vertices, which no other vertex may neighbour."""
+    n = len(adj)
+    left = [len(ws) for ws in adj]  # neighbours that have not peeled it
+    height = [-1] * n  # peeling round
+    parent = [-1] * n
+    partner = [-1] * n
+    peel = [v for v in (range(n) if among is None else among) if left[v] <= 1]
+    for v in peel:
+        height[v] = 0
+    for v in peel:  # grows while iterating: round by round
+        h = height[v]
+        for w in adj[v]:
+            hw = height[w]
+            if hw < 0:
+                left[w] -= 1
+                if left[w] == 1:
+                    height[w] = h + 1
+                    peel.append(w)
+                parent[v] = w
+            elif hw > h:
+                parent[v] = w
+            elif hw == h:
+                partner[v] = w
+    return peel, parent, partner
 
 
 def _forest_rotation(g: Graph, p: int) -> Permutation | None:

@@ -3,30 +3,42 @@
 An automorphism of order exactly p partitions the non-fixed vertices into
 p-cycles; restricting to the fixed vertices preserves hom counts mod p.
 Iterating until no order-p automorphism remains yields the reduced form.  The
-reduced form is unique up to isomorphism; ``tie_break="all_paths"`` checks
-that empirically by exploring every reduction order.
+reduced form is unique up to isomorphism (Faben & Jerrum 2015), so any order
+of removal is sound; ``tie_break="all_paths"`` checks that empirically by
+exploring every reduction order.
 
-Each step takes the lexicographically first automorphism of order p, so
-the labels of every reduced graph are deterministic.  On a forest that
-element moves exactly p isomorphic sibling branches (the subtrees at
-equal-code children of one vertex, p isomorphic trees, or at p = 2 the two
-halves of a bicentre) and fixes every other vertex, so it is built from one
-canonical-code pass per step (:func:`~modhom.graphs.forest_symmetry`): the
-p branches with the largest least vertices in the group where the p-th
-largest is largest, placed onto each other.  Other graphs run the search,
-which visits only partial maps that can still become an element of order p.
-The answer is checked against |Aut| by Cauchy's theorem (an element of
-order p exists iff p divides it): on forests of every size |Aut| comes from
-the same pass, on other graphs of at most 8 vertices from the listed group;
-larger graphs with cycles go unchecked.  Every cycle of the element must
-have length p.  No vertex count limits either route: placements count
-against the state budget.
+A forest reduces bottom-up from the canonical-code pass kept on the graph
+(:func:`~modhom.graphs.forest_symmetry`).  When p does not divide |Aut|
+there is no step.  Otherwise one plan (:func:`_forest_plan`) groups each
+vertex's kept children by reduced code and rotates away all but the c mod
+p of each group of c with the least vertices, and the same for whole trees
+and, at p = 2, the two halves of a bicentre.  Each rotation is scheduled
+in the first round where its branches are isomorphic, and a step is one
+round: one element of order p that rotates all of that round's groups.
+A tree whose reduced centre moved is peeled again from its new centre
+inside the same plan.  Each step's element must have only p-cycles and be
+an automorphism (:func:`fixed_subgraph` checks it), and the plan is made
+again while p divides |Aut| of the result (Cauchy's check); an empty plan
+there is a failure.  The plan enumerates nothing, so it needs no budget.
+
+:func:`find_order_p_automorphism` answers with the lexicographically first
+automorphism of order p.  On a forest that element moves exactly p
+isomorphic sibling branches and fixes every other vertex, so it is built
+from the same pass (:func:`~modhom.graphs._forest_rotation`).  Other graphs
+run the search, which visits only partial maps that can still become an
+element of order p, and reduce one such element at a time until what is
+left is a forest.  The answer is checked against |Aut| by Cauchy's theorem
+(an element of order p exists iff p divides it): on forests of every size
+|Aut| comes from the pass, on other graphs of at most 8 vertices from the
+listed group; larger graphs with cycles go unchecked.  Every cycle of the
+element must have length p.  The search's placements count against the
+state budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Literal, Sequence
 
 from .counting import _assert_prime
 from .errors import BudgetExceededError, InputError
@@ -34,6 +46,7 @@ from .graphs import (
     Graph,
     Permutation,
     _forest_rotation,
+    _peel,
     are_isomorphic,
     automorphism_group,
     forest_symmetry,
@@ -42,6 +55,25 @@ from .graphs import (
 
 FULL_GROUP_BOUND = 8
 ALL_PATHS_BOUND = 10
+
+
+def _assert_p_cycles(rho: Permutation, p: int) -> None:
+    """Check that rho moves some vertex and that every vertex it moves
+    comes back after exactly p images (p is prime, so its cycle has length
+    p)."""
+    images = rho.images
+    moved = [v for v, w in enumerate(images) if v != w]
+    ok = bool(moved)
+    for v in moved:
+        w = images[v]
+        for _ in range(p - 2):
+            if w == v:
+                break
+            w = images[w]
+        if w == v or images[w] != v:
+            ok = False
+            break
+    assert ok, f"internal verification failure: the element's cycles are not all of length {p}"
 
 
 def find_order_p_automorphism(h: Graph, p: int) -> Permutation | None:
@@ -68,10 +100,7 @@ def find_order_p_automorphism(h: Graph, p: int) -> Permutation | None:
         "internal verification failure: Cauchy criterion violated"
     )
     if found is not None:
-        cycles = found.cycles()
-        assert cycles and all(len(c) == p for c in cycles), (
-            f"internal verification failure: the element's cycles are not all of length {p}"
-        )
+        _assert_p_cycles(found, p)
     return found
 
 
@@ -85,12 +114,18 @@ def fixed_subgraph(h: Graph, rho: Permutation) -> tuple[Graph, list[int]]:
         raise InputError("permutation length does not match graph")
     if not rho.is_automorphism_of(h):
         raise InputError("permutation is not an automorphism of the graph")
-    fixed = [v for v in range(h.n) if rho.images[v] == v]
+    fixed = [v for v, w in enumerate(rho.images) if v == w]
     return h.induced(fixed), fixed
 
 
 @dataclass(frozen=True)
 class ReductionStep:
+    """One quotient: ``after`` is ``before`` induced on the fixed points of
+    ``automorphism``, an element of order p, listed in ``fixed_vertices``
+    (position i is vertex i of ``after``).  On a forest the element is one
+    round of the plan and rotates all of that round's groups of branches;
+    on a graph with cycles it is the lexicographically first one."""
+
     before: Graph
     automorphism: Permutation
     after: Graph
@@ -99,9 +134,9 @@ class ReductionStep:
 
 @dataclass(frozen=True)
 class ReductionTrace:
-    """A full reduction run: steps taken, final graph, and (for all_paths
-    mode) every terminal graph reached, which must form one isomorphism
-    class."""
+    """A full reduction run: steps taken (on a forest, one per round of
+    rotations), final graph, and (for all_paths mode) every terminal graph
+    reached, which must form one isomorphism class."""
 
     p: int
     mode: str
@@ -130,6 +165,276 @@ class ReductionTrace:
         }
 
 
+def _forest_plan(g: Graph, p: int) -> list[list[tuple[tuple[int, ...], ...]]]:
+    """The rounds of rotations that reduce the forest g bottom-up, read from
+    its kept :func:`forest_symmetry` pass.
+
+    A rotation is p branches, each as the tuple of its vertices in g's
+    labels, aligned so that position j of each branch maps onto position j
+    of the next (and the last onto the first) by an isomorphism.  Children
+    are met before their parents.  A vertex's reduced code interns the
+    sorted reduced codes of its kept children; of c children that share a
+    reduced code, the c mod p with the least vertices are kept and the rest
+    rotate away, p at a time.  At p = 2 the two halves of a bicentre with
+    one reduced code rotate too.  Branches in one orbit class are
+    isomorphic as they stand, so they rotate in round 1 and no rotation
+    inside them is kept; other branches become isomorphic only once
+    reduced, so they rotate in the round after the last rotation inside
+    them.  Rotations of one round are disjoint.
+
+    A tree whose reduced form no longer has its root as centre (the two
+    tallest branches at the root differ in height, or the halves of its
+    bicentre do) is peeled again from what is left of it and reduced from
+    its new centre, in rounds after all of its own.  Last, the reduced
+    trees are grouped by code the same way.  Keeping the branches with the
+    least vertices gives the labels of taking the lexicographically first
+    element at every step, on every tree of up to 15 vertices.
+    """
+    sym = g._forest_symmetry
+    n = g.n
+    peel, parent, partner, minimum = sym.peel, sym.parent, sym.partner, sym.minimum
+    orbit: Sequence[int] | None = sym.orbit  # None once re-rooted
+    codes: dict[tuple[int, ...], int] = {(): 0}  # sorted kept child codes -> code
+    code = [0] * n  # of the reduced subtree
+    height = [0] * n  # of the reduced subtree
+    last = [0] * n  # the last round of a rotation inside the subtree
+    kept: list[Sequence[int]] = [()] * n  # kept children, by (code, least vertex)
+    moves: list[tuple[int, int, list[tuple[int, ...]], bool]] = []
+    gone: list[int] = []  # roots of round-1 branches with rotations inside
+    trees: list[tuple] = []  # (code, least vertex, orbit, roots, last round)
+
+    def rotate(removed: list[tuple], at: int) -> int:
+        """Schedule the (least vertex, orbit, roots, last round) branches
+        hanging from ``at`` (-1 for whole trees and halves), p at a time,
+        whole orbit classes first; the last round used."""
+        top = 0
+        pool = removed
+        if orbit is not None:
+            classes: dict[int, list[tuple]] = {}
+            for item in removed:
+                classes.setdefault(item[1], []).append(item)
+            pool = []
+            for same in classes.values():
+                whole = len(same) - len(same) % p
+                for k in range(0, whole, p):
+                    chunk = same[k : k + p]
+                    moves.append((1, at, [item[2] for item in chunk], True))
+                    gone.extend(r for item in chunk if item[3] for r in item[2])
+                    top = 1
+                pool += same[whole:]
+            if len(classes) > 1:
+                pool.sort()
+        for k in range(0, len(pool), p):
+            chunk = pool[k : k + p]
+            round_ = 1 + max(item[3] for item in chunk)
+            moves.append((round_, at, [item[2] for item in chunk], False))
+            top = max(top, round_)
+        return top
+
+    def runs(keys: list) -> list[tuple[int, int]]:
+        """For each run of c >= p equal keys in the sorted ``keys``, the
+        span [cut, end) that rotates away: all but the first c mod p."""
+        spans = []
+        i = 0
+        while i < len(keys):
+            j = i + 1
+            while j < len(keys) and keys[j] == keys[i]:
+                j += 1
+            if j - i >= p:
+                spans.append((i + (j - i) % p, j))
+            i = j
+        return spans
+
+    while True:
+        below: dict[int, list[int]] = {}  # vertex -> its children so far
+        roots = []
+        for v in peel:  # children before parents
+            kids = below.pop(v, None)
+            if kids is None:
+                pass  # a leaf: code 0, height 0, nothing kept
+            elif len(kids) == 1:
+                w = kids[0]
+                kept[v] = kids
+                code[v] = codes.setdefault((code[w],), len(codes))
+                height[v] = height[w] + 1
+                last[v] = last[w]
+            else:
+                ranked = sorted([(code[w], minimum[w], w) for w in kids])
+                cs = [c for c, _, _ in ranked]
+                top = 0
+                if len(set(cs)) + p - 1 <= len(cs):  # there may be a run of p
+                    keep = []
+                    start = 0
+                    for cut, end in runs(cs):
+                        keep += ranked[start:cut]
+                        removed = [
+                            (m, None if orbit is None else orbit[w], (w,), last[w])
+                            for _, m, w in ranked[cut:end]
+                        ]
+                        top = max(top, rotate(removed, v))
+                        start = end
+                    if start:
+                        ranked = keep + ranked[start:]
+                        cs = [c for c, _, _ in ranked]
+                kept[v] = ks = [w for _, _, w in ranked]
+                code[v] = codes.setdefault(tuple(cs), len(codes))
+                tall = 0
+                for w in ks:
+                    if last[w] > top:
+                        top = last[w]
+                    if height[w] >= tall:
+                        tall = height[w] + 1
+                last[v], height[v] = top, tall
+            u = parent[v]
+            if u < 0:
+                roots.append(v)
+            elif u in below:
+                below[u].append(v)
+            else:
+                below[u] = [v]
+
+        moved = []
+        for r in roots:
+            x = partner[r]
+            if x < 0:
+                tall = sorted([height[w] for w in kept[r]], reverse=True)
+                if not tall or len(tall) >= 2 and tall[0] == tall[1]:
+                    trees.append(
+                        ((code[r],), minimum[r], None if orbit is None else orbit[r], (r,), last[r])
+                    )
+                else:
+                    moved.append(r)
+            elif r < x:
+                if p == 2 and code[r] == code[x]:
+                    halves = [(minimum[r], None if orbit is None else orbit[r], (r,), last[r])]
+                    halves.append((minimum[x], None if orbit is None else orbit[x], (x,), last[x]))
+                    rotate(sorted(halves), -1)
+                elif height[r] == height[x]:
+                    trees.append(
+                        (
+                            tuple(sorted((code[r], code[x]))),
+                            min(minimum[r], minimum[x]),
+                            None if orbit is None else min(orbit[r], orbit[x]),
+                            (r, x),
+                            max(last[r], last[x]),
+                        )
+                    )
+                else:
+                    last[r] = last[x] = max(last[r], last[x])
+                    moved += (r, x)
+        if not moved:
+            break
+        # peel what is left of the moved trees again; their rotations come
+        # after every rotation inside them
+        adj: list[Sequence[int]] = [()] * n
+        stack = moved
+        for v in stack:  # grows while iterating
+            ks = kept[v]
+            u = parent[v] if parent[v] >= 0 else partner[v]
+            adj[v] = [u, *ks] if u >= 0 else ks
+            for w in ks:
+                last[w] = last[v]
+            stack += ks
+            kept[v], code[v], height[v] = (), 0, 0  # as a leaf, until its children come
+        peel, parent, partner = _peel(adj, stack)
+        minimum = list(range(n))
+        for v in peel:
+            u = parent[v]
+            if u >= 0 and minimum[v] < minimum[u]:
+                minimum[u] = minimum[v]
+        orbit = None
+
+    if len(trees) >= p:
+        trees.sort()
+        for cut, end in runs([t[0] for t in trees]):
+            rotate([t[1:] for t in trees[cut:end]], -1)
+
+    if gone:  # drop the rotations inside branches that go in round 1
+        inside = set(gone)
+        for v in reversed(sym.peel):
+            if sym.parent[v] in inside:
+                inside.add(v)
+        moves = [move for move in moves if move[1] not in inside]
+
+    adj0, parent0, orbit0 = g._adj, sym.parent, sym.orbit
+
+    def walk(tops: tuple[int, ...], as_is: bool) -> tuple[int, ...]:
+        """The branch's vertices in preorder: as it stands, children by
+        (orbit, least vertex) of the pass; else the kept children, by
+        (reduced code, least vertex)."""
+        if len(tops) == 1 and (len(adj0[tops[0]]) <= 1 if as_is else not kept[tops[0]]):
+            return tops  # a leaf
+        out = []
+        stack = list(tops)
+        if len(tops) > 1:
+            stack.sort(key=(orbit0 if as_is else code).__getitem__, reverse=True)
+        while stack:
+            v = stack.pop()
+            out.append(v)
+            if as_is:
+                kids = [(orbit0[w], sym.minimum[w], w) for w in adj0[v] if parent0[w] == v]
+                stack += [w for _, _, w in sorted(kids, reverse=True)]
+            else:
+                stack += kept[v][::-1]
+        return tuple(out)
+
+    rounds: dict[int, list[tuple[tuple[int, ...], ...]]] = {}
+    for round_, _, branches, as_is in moves:
+        rounds.setdefault(round_, []).append(tuple([walk(b, as_is) for b in branches]))
+    return [rounds[k] for k in sorted(rounds)]
+
+
+def _reduce_forest(h: Graph, p: int, steps: list[ReductionStep]) -> Graph:
+    """Reduce the forest h by the rounds of :func:`_forest_plan`, one step
+    per round, appending the steps; the reduced forest.
+
+    Each round's element rotates all of its branches at once.  Its cycles
+    must all have length p and :func:`fixed_subgraph` checks that it is an
+    automorphism.  The plan is made again on the result while p divides
+    |Aut| of the result (Cauchy's check): a plan can leave a symmetry that
+    only shows from the new centres, say between a re-peeled tree and one
+    that was not.  An empty plan there is a failure.
+    """
+    current = h
+    while current._forest_symmetry.order % p == 0:
+        rounds = _forest_plan(current, p)
+        if not rounds:
+            raise RuntimeError(
+                f"internal verification failure: {p} divides |Aut| of a forest "
+                "but its plan rotates nothing"
+            )
+        where = list(range(current.n))  # planned vertex -> its label now, -1 once gone
+        for index, rotations in enumerate(rounds):
+            images = list(range(current.n))
+            for branches in rotations:
+                for source, target in zip(branches, branches[1:] + branches[:1]):
+                    if len(source) != len(target):
+                        raise RuntimeError(
+                            "internal verification failure: rotated branches differ in size"
+                        )
+                    for v, w in zip(source, target):
+                        x, y = where[v], where[w]
+                        if x < 0 or y < 0:
+                            raise RuntimeError(
+                                "internal verification failure: the plan moves a removed vertex"
+                            )
+                        images[x] = y
+            try:
+                rho = Permutation(tuple(images))
+                _assert_p_cycles(rho, p)
+                after, fixed = fixed_subgraph(current, rho)
+            except InputError as exc:
+                raise RuntimeError(f"internal verification failure: {exc}") from exc
+            steps.append(ReductionStep(current, rho, after, tuple(fixed)))
+            if index + 1 < len(rounds):
+                rank = [-1] * current.n
+                for i, x in enumerate(fixed):
+                    rank[x] = i
+                where = [rank[x] if x >= 0 else -1 for x in where]
+            current = after
+    return current
+
+
 def reduced_form(
     h: Graph,
     p: int,
@@ -137,29 +442,26 @@ def reduced_form(
 ) -> ReductionTrace:
     """Quotient away order-p symmetry until none remains.
 
-    ``deterministic`` picks the lexicographically first order-p automorphism
-    at each step.  ``all_paths`` explores every choice at every step,
-    de-duplicating up to isomorphism, and verifies all terminal graphs are
-    isomorphic (raising RuntimeError otherwise).
+    ``deterministic`` reduces a forest by rounds of :func:`_forest_plan`,
+    and a graph with cycles by the lexicographically first order-p
+    automorphism at each step until what is left is a forest.
+    ``all_paths`` explores every choice at every step, de-duplicating up to
+    isomorphism, and verifies all terminal graphs are isomorphic (raising
+    RuntimeError otherwise).
     """
     _assert_prime(p)
     if tie_break == "deterministic":
         steps: list[ReductionStep] = []
         current = h
-        while True:
+        while forest_symmetry(current) is None:
             rho = find_order_p_automorphism(current, p)
             if rho is None:
                 break
             after, fixed = fixed_subgraph(current, rho)
-            steps.append(
-                ReductionStep(
-                    before=current,
-                    automorphism=rho,
-                    after=after,
-                    fixed_vertices=tuple(fixed),
-                )
-            )
+            steps.append(ReductionStep(current, rho, after, tuple(fixed)))
             current = after
+        else:
+            current = _reduce_forest(current, p, steps)
         return ReductionTrace(
             p=p, mode="deterministic", steps=tuple(steps), result=current
         )

@@ -352,8 +352,20 @@ def test_reduction_can_rescue_a_cycle():
 # SHA-256 over every classify output and every reduction step's labels, for
 # all trees of 1..12 vertices at p = 2, 3, 5, 7.  The golden atlas pins the
 # outputs up to 8 vertices; this pins the rest, so no change to the search,
-# the reduction or the certificate scan can move a label unnoticed.
-TREE_OUTPUT_DIGEST = "939d0fb62cda72682e6ac237f77b3e246f184c7f96fb84e226a5911be2f201c1"
+# the reduction or the certificate scan can move a label unnoticed.  It
+# moved once, when forests began to reduce by rounds of a bottom-up plan
+# (each step rotates every group of a round, not the lex-first element);
+# the outputs without their steps did not move (STEPS_FREE_DIGESTS below).
+TREE_OUTPUT_DIGEST = "a9e6dd56271eb865c2faf749472ce1cea8085f7cb0569addf4ffe42710d51dc8"
+
+# SHA-256 over the classify JSON with ``reduced.steps`` removed: the
+# verdict, certificate and reduced graph, labels included, of the trees of
+# 1..12 vertices and of the two-tree forests below, at p = 2, 3, 5, 7.  It
+# does not depend on which steps reach the reduced form.
+STEPS_FREE_DIGESTS = (
+    ("4f8bcadb1f50fd39a0ab7a0a026176401f39e42e84d1c07710b0487a8e2ef6ef", 3948),
+    ("5a8ab4e083eb25cbd7e8c92c8b851ed26461457efb5420edae62a8400f291bdd", 1300),
+)
 
 
 def output_digest(targets) -> tuple[str, int]:
@@ -567,13 +579,33 @@ def test_classify_on_forests_matches_naive_oracle():
 # forest of two trees with 1..7 vertices (325 pairs) at p = 2, 3, 5, 7.
 # The trees' outputs are pinned above; this pins the labels a forest's
 # certificate search and reduction give.
-FOREST_OUTPUT_DIGEST = "9780331f7951c1256253bb941011fa879f833e019ea3502099f0b89e9c1085e1"
+# It moved once, with the tree digest above.
+FOREST_OUTPUT_DIGEST = "ad6a18308eea9bf4f9ee01ca75464f27eb6e3a9a2f9e4c09f72475bddcdac04c"
+
+
+def two_tree_forests():
+    trees = [t for n in range(1, 8) for t in nonisomorphic_trees(n)]
+    return (disjoint_union(a, b) for i, a in enumerate(trees) for b in trees[i:])
 
 
 def test_classify_outputs_on_two_tree_forests_are_unchanged():
-    trees = [t for n in range(1, 8) for t in nonisomorphic_trees(n)]
-    forests = (disjoint_union(a, b) for i, a in enumerate(trees) for b in trees[i:])
-    assert output_digest(forests) == (FOREST_OUTPUT_DIGEST, 1300)
+    assert output_digest(two_tree_forests()) == (FOREST_OUTPUT_DIGEST, 1300)
+
+
+def test_classify_outputs_without_steps_are_unchanged():
+    def steps_free_digest(targets) -> tuple[str, int]:
+        digest = hashlib.sha256()
+        ops = 0
+        for h in targets:
+            for p in (2, 3, 5, 7):
+                doc = classify(h, p).to_json()
+                del doc["reduced"]["steps"]
+                digest.update(json.dumps(doc, sort_keys=True).encode())
+                ops += 1
+        return digest.hexdigest(), ops
+
+    trees = (t for n in range(1, 13) for t in nonisomorphic_trees(n))
+    assert (steps_free_digest(trees), steps_free_digest(two_tree_forests())) == STEPS_FREE_DIGESTS
 
 
 def test_classify_searches_a_forest_once(monkeypatch):

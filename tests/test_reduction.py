@@ -5,16 +5,22 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     flat_automorphisms,
+    flat_components,
+    flat_forest_reduced_codes,
     flat_hom_count,
     flat_order,
+    flat_tree_code,
     rand_graph,
     rand_tree,
     spider,
 )
 from modhom.counting import count_homs
+from modhom.dichotomy import classify
 from modhom.errors import BudgetExceededError, InputError, state_budget_scope
 from modhom.graphs import (
     Graph,
@@ -296,6 +302,180 @@ def test_trace_to_json_shape():
     assert doc["result"]["n"] == 0
     assert len(doc["steps"]) == 1
     assert "automorphism" in doc["steps"][0]
+
+
+# ---------------------------------------------------------------------------
+# forests reduce by rounds of a bottom-up plan
+
+
+def lex_first_result(h: Graph, p: int) -> Graph:
+    """The per-step loop: quotient by the lexicographically first element
+    of order p until there is none."""
+    current = h
+    while (rho := find_order_p_automorphism(current, p)) is not None:
+        current, _ = fixed_subgraph(current, rho)
+    return current
+
+
+def check_steps(h: Graph, p: int, trace) -> None:
+    """Each step's element is an automorphism of ``before`` whose cycles
+    all have length p, ``fixed_vertices`` are its fixed points and
+    ``after`` is induced on them; the steps chain from h to the result,
+    where p does not divide |Aut|."""
+    before = h
+    for step in trace.steps:
+        rho = step.automorphism
+        assert step.before is before and rho.is_automorphism_of(before)
+        assert rho.cycles() and all(len(c) == p for c in rho.cycles())
+        assert step.fixed_vertices == tuple(v for v in range(before.n) if rho.apply(v) == v)
+        assert step.after == before.induced(step.fixed_vertices)
+        before = step.after
+    assert trace.result is before
+    assert forest_symmetry(before).order % p != 0
+
+
+def side_by_side(*parts: Graph) -> Graph:
+    edges: list[tuple[int, int]] = []
+    n = 0
+    for g in parts:
+        edges += [(n + u, n + v) for u, v in g.edges]
+        n += g.n
+    return Graph.make(n, edges)
+
+
+# a2-a1-r-c1 with leaves c2, c3 under c1: rooted at its centre r it leaves
+# P4 at p = 2, whose centre is the edge a1-r and whose halves then swap
+RECENTRING = Graph.make(6, [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5)])
+
+
+def test_reduction_keeps_the_lex_first_labels_on_trees_up_to_12():
+    for n in range(1, 13):
+        for t in nonisomorphic_trees(n):
+            for p in (2, 3, 5, 7):
+                trace = reduced_form(t, p)
+                assert trace.result == lex_first_result(t, p)
+                if n <= 9:
+                    check_steps(t, p, trace)
+
+
+def test_reduction_keeps_the_lex_first_labels_on_two_tree_forests():
+    trees = [t for n in range(1, 8) for t in nonisomorphic_trees(n)]
+    forests = [side_by_side(a, b) for i, a in enumerate(trees) for b in trees[i:]]
+    assert len(forests) == 325
+    for g in forests:
+        for p in (2, 3, 5, 7):
+            trace = reduced_form(g, p)
+            assert trace.result == lex_first_result(g, p)
+            check_steps(g, p, trace)
+
+
+@pytest.mark.slow
+def test_reduction_keeps_the_lex_first_labels_on_trees_of_13_to_15():
+    for n in (13, 14, 15):
+        for t in nonisomorphic_trees(n):
+            for p in (2, 3, 5, 7):
+                assert reduced_form(t, p).result == lex_first_result(t, p)
+
+
+@st.composite
+def symmetric_forests(draw) -> Graph:
+    """Randomly relabelled: 2-6 copies of a random branch on a hub with a
+    random tail, two copies of a branch joined at their roots (equal
+    halves), 2-4 copies of a tree beside another tree, or the recentring
+    tree beside a random tree."""
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(("copies", "halves", "trees", "recentring")))
+    branch = rand_tree(rng, draw(st.integers(1, 6)))  # rooted at its vertex 0
+    other = rand_tree(rng, draw(st.integers(0, 8)))
+    if kind == "copies":
+        g = _copies_under_a_hub(branch, draw(st.integers(2, 6)))
+        edges = list(side_by_side(g, other).edges)
+        if other.n:
+            edges.append((rng.randrange(g.n), g.n))
+        g = Graph.make(g.n + other.n, edges)
+    elif kind == "halves":
+        g = side_by_side(branch, branch)
+        g = Graph.make(g.n, list(g.edges) + [(0, branch.n)])
+    elif kind == "trees":
+        g = side_by_side(*[branch] * draw(st.integers(2, 4)), other)
+    else:
+        g = side_by_side(RECENTRING, other)
+    images = list(range(g.n))
+    rng.shuffle(images)
+    return g.relabel(images)
+
+
+@given(symmetric_forests(), st.sampled_from((2, 3, 5, 7)))
+@settings(max_examples=300, deadline=None)
+def test_reduction_matches_a_naive_reduction_on_symmetric_forests(g, p):
+    trace = reduced_form(g, p)
+    result = trace.result
+    codes = sorted(flat_tree_code(result.induced(c)) for c in flat_components(result))
+    assert codes == flat_forest_reduced_codes(g, p)
+    check_steps(g, p, trace)
+
+
+def test_a_moved_centre_is_reduced_from_its_new_centre():
+    trace = reduced_form(RECENTRING, 2)
+    assert trace.result.n == 0 and len(trace.steps) == 2
+    check_steps(RECENTRING, 2, trace)
+
+
+def test_one_symmetry_pass_per_plan(monkeypatch):
+    calls = []
+    real = graphs._symmetry_pass
+    monkeypatch.setattr(graphs, "_symmetry_pass", lambda g: calls.append(g.n) or real(g))
+    # five rounds, two of them after the centre moves, from one plan: one
+    # pass on the tree and the Cauchy check's on the empty result
+    t = Graph.make(12, [(0, 1), (0, 6), (0, 11), (1, 2), (2, 3), (2, 5), (3, 4),
+                        (6, 7), (6, 10), (7, 8), (7, 9)])
+    trace = reduced_form(t, 2)
+    assert len(trace.steps) == 5 and trace.result.n == 0
+    assert calls == [12, 0]
+
+
+def test_an_empty_plan_while_p_divides_the_order_is_refused(monkeypatch):
+    monkeypatch.setattr(reduction, "_forest_plan", lambda g, p: [])
+    with pytest.raises(RuntimeError, match="internal verification failure"):
+        reduced_form(star_graph(9), 3)
+    # with p not dividing |Aut| no plan is made
+    assert reduced_form(spider(1, 2, 3), 2).steps == ()
+
+
+def test_a_rotation_onto_a_non_isomorphic_branch_is_refused(monkeypatch):
+    # P5 is 0-1-2-3-4: swapping the leaf 0 with vertex 1 is no automorphism
+    monkeypatch.setattr(reduction, "_forest_plan", lambda g, p: [[((0,), (1,))]])
+    with pytest.raises(
+        RuntimeError, match="internal verification failure: permutation is not an automorphism"
+    ):
+        reduced_form(path_graph(5), 2)
+    # branches of different sizes are refused before an element is built
+    monkeypatch.setattr(reduction, "_forest_plan", lambda g, p: [[((0, 1), (4,))]])
+    with pytest.raises(RuntimeError, match="rotated branches differ in size"):
+        reduced_form(path_graph(5), 2)
+    # three leaves of K_{1,3} rotate in a 3-cycle, not in 2-cycles
+    monkeypatch.setattr(reduction, "_forest_plan", lambda g, p: [[((1,), (2,), (3,))]])
+    with pytest.raises(AssertionError, match="cycles are not all of length 2"):
+        reduced_form(star_graph(3), 2)
+
+
+def test_a_star_of_1000_leaves_reduces_in_one_step():
+    assert len(classify(star_graph(1000), 3).reduced.steps) == 1
+
+
+# steps of the random 10,000-vertex Pruefer tree (seed 424242) at each p
+PRUFER_10K_STEPS = {2: 4, 3: 2, 5: 1}
+
+
+def test_a_10000_vertex_tree_reduces_in_few_steps(monkeypatch):
+    t = rand_tree(random.Random(424242), 10000)
+    induced = []
+    real = Graph.induced
+    monkeypatch.setattr(Graph, "induced", lambda g, keep: induced.append(g.n) or real(g, keep))
+    for p, steps in PRUFER_10K_STEPS.items():
+        induced.clear()
+        assert len(reduced_form(t, p).steps) == steps
+        assert len(induced) == steps
 
 
 # ---------------------------------------------------------------------------
