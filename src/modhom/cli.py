@@ -58,7 +58,10 @@ def _read_text(path: str) -> str:
 
 
 def _check_primes(primes: tuple[int, ...]) -> None:
-    """Each prime of an atlas prime list is prime and listed once."""
+    """An atlas prime list is not empty, and each prime is prime and listed
+    once."""
+    if not primes:
+        raise InputError("the prime list is empty")
     seen: set[int] = set()
     for p in primes:
         if not is_prime(p):
@@ -336,6 +339,8 @@ def _cmd_atlas(args: argparse.Namespace) -> int:
         _parse_primes(args.primes) if args.primes else args.config.primes
     )
     _check_primes(primes)
+    if args.max_n < 1:
+        raise InputError("--max-n must be at least 1")
     jobs = args.jobs if args.jobs is not None else args.config.jobs
     if jobs <= 0:
         raise InputError("--jobs must be positive")

@@ -36,9 +36,9 @@ diameter path of that tree is validated on the whole graph, and the
 search's answer must rank no higher.  ``find_ab_path`` reads connectivity,
 tree and star from the structure report, and on a non-star tree reads |Aut|
 from the forest pass kept on the graph (:func:`~modhom.graphs.forest_symmetry`),
-which the order-p search reuses; ``classify`` need not, since the reduction
-stopped on a passed Cauchy check, so p divides |Aut| of no component of the
-reduced forest.
+which the reduction's plan reads too; ``classify`` need not, since the
+reduction stopped on a passed Cauchy check, so p divides |Aut| of no
+component of the reduced forest.
 Each cross-check stays within its tree, so together they are O(n + m).
 """
 

@@ -24,10 +24,9 @@ a multiple of p.
 
 On a forest, :func:`forest_symmetry` makes one pass of AHU canonical codes,
 kept on the graph, that gives the group order exactly, without enumerating
-anything, the exact orbit classes and the groups of isomorphic sibling
-branches.  The first element of prime order p is built from those groups
-rather than searched for: it rotates p sibling branches and fixes every
-other vertex (see :func:`_forest_rotation`).
+anything, and the exact orbit classes and rooting.  The order-p reduction
+plans its rotations from that pass (see :mod:`modhom.reduction`), so the
+search here is the only placement search.
 """
 
 from __future__ import annotations
@@ -85,8 +84,8 @@ class Graph:
 
     @cached_property
     def _forest_symmetry(self) -> ForestSymmetry | None:
-        # made once per graph: a reduction step's Cauchy check and its
-        # rotation, and the dichotomy's shortcut, all read it
+        # made once per graph: the reduction's Cauchy check and plan, and
+        # the dichotomy's shortcut, all read it
         return _symmetry_pass(self)
 
     @property
@@ -872,12 +871,6 @@ class ForestSymmetry:
     bicentre vertex, of its half).  Every automorphism maps parents to
     parents and partners to partners.  ``order`` is |Aut|, and ``peel``
     lists every vertex, children before parents.
-
-    ``groups`` lists every set of two or more pairwise isomorphic sibling
-    branches, each as the ascending tuple of the branches' roots: the
-    children of one vertex that share a code; the two halves of a bicentre
-    when they are isomorphic; and two or more isomorphic trees, each named
-    by its least root (a bicentred tree is both its halves).
     """
 
     order: int
@@ -885,14 +878,12 @@ class ForestSymmetry:
     parent: tuple[int, ...]
     partner: tuple[int, ...]
     minimum: tuple[int, ...]
-    groups: tuple[tuple[int, ...], ...]
     peel: tuple[int, ...]
 
 
 def forest_symmetry(g: Graph) -> ForestSymmetry | None:
-    """The orbit classes, rooting, sibling groups and |Aut| of a forest from
-    one pass of AHU canonical codes (Aho, Hopcroft & Ullman 1974); None if
-    g has a cycle.
+    """The orbit classes, rooting and |Aut| of a forest from one pass of AHU
+    canonical codes (Aho, Hopcroft & Ullman 1974); None if g has a cycle.
 
     The pass is made once per graph and kept on it; see
     :func:`_symmetry_pass`.
@@ -906,8 +897,8 @@ def _symmetry_pass(g: Graph) -> ForestSymmetry | None:
     is the neighbour peeled after it.  A vertex's code interns its
     children's sorted codes, so two rooted subtrees share a code exactly
     when they are isomorphic.  Children are met before their parents, so
-    the same loop groups each vertex's children by code and passes the
-    least vertex of each subtree up.  The group order is the product over
+    the same loop counts each vertex's runs of equal child codes and passes
+    the least vertex of each subtree up.  The group order is the product over
     vertices of k! for every k children with equal codes, times 2 for each
     tree with isomorphic halves, times k! for every k pairwise isomorphic
     trees.  A vertex's orbit label chains its code with its parent's label;
@@ -925,7 +916,6 @@ def _symmetry_pass(g: Graph) -> ForestSymmetry | None:
     code = [0] * n
     minimum = list(range(n))
     kids: list[list[int]] = [[] for _ in range(n)]  # child codes
-    groups: list[tuple[int, ...]] = []
     roots = []
     order = 1
     for v in peel:  # children before parents
@@ -937,10 +927,6 @@ def _symmetry_pass(g: Graph) -> ForestSymmetry | None:
                 for prev, kid in zip(ks, ks[1:]):
                     run = run + 1 if kid == prev else 1
                     order *= run  # a run of k equal codes gives 2*3*...*k = k!
-                    if run == 2:  # the children with code kid form a group
-                        groups.append(
-                            tuple(sorted(w for w in adj[v] if parent[w] == v and code[w] == kid))
-                        )
             code[v] = codes.setdefault(tuple(ks), len(codes))
         u = parent[v]
         if u >= 0:
@@ -950,27 +936,27 @@ def _symmetry_pass(g: Graph) -> ForestSymmetry | None:
         else:
             roots.append(v)
 
-    trees: dict[tuple[int, ...], list[int]] = {}
-    for v in sorted(roots):
+    trees: dict[tuple[int, ...], int] = {}  # tree code -> trees with it
+    for v in roots:
         x = partner[v]
         if x < 0:
-            trees.setdefault((code[v],), []).append(v)
+            key: tuple[int, ...] = (code[v],)
         elif v < x:
-            trees.setdefault((min(code[v], code[x]), max(code[v], code[x])), []).append(v)
+            key = (min(code[v], code[x]), max(code[v], code[x]))
             if code[v] == code[x]:
                 order *= 2
-                groups.append((v, x))
+        else:
+            continue
+        trees[key] = trees.get(key, 0) + 1
     for same in trees.values():
-        order *= math.factorial(len(same))
-        if len(same) > 1:
-            groups.append(tuple(same))
+        order *= math.factorial(same)
 
     labels: dict[tuple[int, ...], int] = {}
     orbit = [0] * n
     for v in reversed(peel):  # parents before children
         u = parent[v]
         if u >= 0:
-            key: tuple[int, ...] = (code[v], orbit[u])
+            key = (code[v], orbit[u])
         elif partner[v] < 0:
             key = (-1, code[v])
         else:
@@ -982,7 +968,6 @@ def _symmetry_pass(g: Graph) -> ForestSymmetry | None:
         tuple(parent),
         tuple(partner),
         tuple(minimum),
-        tuple(groups),
         tuple(peel),
     )
 
@@ -1018,142 +1003,6 @@ def _peel(
             elif hw == h:
                 partner[v] = w
     return peel, parent, partner
-
-
-def _forest_rotation(g: Graph, p: int) -> Permutation | None:
-    """The lexicographically first automorphism of prime order p of the
-    forest g, built from :func:`forest_symmetry` rather than searched; None
-    when there is none, which is exactly when p does not divide |Aut|.
-
-    Let σ have order p and let t be a topmost vertex it moves.  The p
-    branches at t, σ(t), ... are isomorphic siblings: the subtrees at
-    equal-code children of one vertex, p isomorphic trees, or at p = 2 the
-    two halves of a bicentre.  σ restricted to them, fixing everything
-    else, is an automorphism ρ of order p that agrees with σ on its own
-    support, so ρ is lexicographically no later than σ.  The first element
-    therefore rotates p branches of one group, and of two such rotations
-    the one whose least moved vertex is larger comes first.  In a group
-    that least vertex is at most the p-th largest branch minimum, reached
-    by the p branches with the largest minima: the group where it is
-    largest wins, and only its branches are placed.  No two groups tie on
-    it: a tie means one group lies inside a chosen branch X of the other,
-    and then the copy of that group inside another chosen branch, whose
-    vertices all exceed X's least one, does better than both.
-    """
-    sym = g._forest_symmetry
-    partner, minimum = sym.partner, sym.minimum
-    best: list[tuple[int, int]] = []  # (least vertex, root) of the chosen branches
-    for group in sym.groups:
-        if len(group) >= p:
-            ranked = sorted(
-                # a bicentred root's branch is its whole tree
-                (minimum[r] if partner[r] < 0 else min(minimum[r], minimum[partner[r]]), r)
-                for r in group
-            )[-p:]
-            if not best or ranked[0] > best[0]:
-                best = ranked
-    if not best:
-        return None
-    return Permutation(_place_rotation(g, [r for _, r in best], p))
-
-
-def _place_rotation(g: Graph, roots: Sequence[int], p: int) -> tuple[int, ...]:
-    """The lexicographically first automorphism of order p that maps the
-    isomorphic sibling branches at ``roots`` onto each other and fixes
-    every other vertex, as an image array.  A bicentred root brings its
-    whole tree, which for the two halves of a bicentre is their union.
-
-    The branches' vertices are placed in id order, each on the unused
-    vertices of its orbit class among the branches in ascending order.
-    Placing v on w also makes the arrow from each unmapped ancestor of v
-    to the matching vertex above w, up to the first mapped one, and at a
-    root from its partner to its image's partner (ancestor closure); a
-    vertex outside the branches counts as mapped to itself, so a branch
-    root only goes to a sibling.  An arrow is refused when its image is
-    used, when a mapped ancestor has another image, when it closes a cycle
-    shorter than p, or when it makes a chain of p arrows.  Closure can
-    still leave a dead end further down, where a vertex's cycle needs an
-    image another chain has taken, so the placement backtracks; each
-    candidate tried is a placement, counted against the state budget.
-    """
-    sym = g._forest_symmetry
-    parent, partner, orbit = sym.parent, sym.partner, sym.orbit
-    adj = g._adj
-    inside = list({x for r in roots for x in (r, partner[r]) if x >= 0})
-    for x in inside:  # grows while iterating: every vertex below a root
-        inside.extend(w for w in adj[x] if parent[w] == x)
-    inside.sort()
-    image = list(range(g.n))  # the map, fixing every vertex outside
-    if len(inside) == p:  # single vertices: the first rotation is their cycle
-        for v, w in zip(inside, inside[1:] + inside[:1]):
-            image[v] = w
-        return tuple(image)
-    pre = [-1] * g.n  # inverse of the map on the branches
-    same: dict[int, list[int]] = {}  # orbit class -> its vertices, ascending
-    for v in inside:
-        image[v] = -1
-        same.setdefault(orbit[v], []).append(v)
-
-    def arrows(r: int, s: int, made: list[int]) -> bool:
-        """Make r -> s and its closure, recording each arrow in ``made``;
-        False at the first arrow refused."""
-        while True:
-            if pre[s] >= 0:
-                return False
-            x, length = s, 1  # follow the chain on from s, then back from r
-            while x != r and image[x] >= 0:
-                x, length = image[x], length + 1
-            if x != r:
-                y = r
-                while pre[y] >= 0:
-                    y, length = pre[y], length + 1
-            if length > p or (x == r) != (length == p):
-                return False
-            image[r], pre[s] = s, r
-            made.append(r)
-            u, x = parent[r], parent[s]
-            if u < 0:
-                u, x = partner[r], partner[s]
-            if u < 0:
-                return True
-            if image[u] >= 0:
-                return image[u] == x
-            r, s = u, x
-
-    budget = state_budget_default()
-    placements = 0
-    frames: list[tuple[int, int, list[int]]] = []  # level, next candidate, arrows
-    level = tried = 0
-    made: list[int] = []  # the arrows of the placement being tried
-    while True:
-        while made:  # take back a refused or abandoned placement
-            r = made.pop()
-            pre[image[r]] = image[r] = -1
-        while level < len(inside) and image[inside[level]] >= 0:
-            level += 1  # mapped by closure
-        if level == len(inside):
-            return tuple(image)
-        candidates = same[orbit[inside[level]]]
-        while tried < len(candidates) and pre[candidates[tried]] >= 0:
-            tried += 1
-        if tried == len(candidates):
-            if not frames:
-                raise RuntimeError(
-                    "internal verification failure: isomorphic branches admit no rotation"
-                )
-            level, tried, made = frames.pop()
-            continue
-        placements += 1
-        if placements > budget:
-            raise over_budget(
-                f"rotation of {p} branches on {len(inside)} vertices made "
-                f"{placements} placements",
-                budget,
-            )
-        tried += 1
-        if arrows(inside[level], candidates[tried - 1], made):
-            frames.append((level, tried, made))
-            level, tried, made = level + 1, 0, []
 
 
 # ---------------------------------------------------------------------------

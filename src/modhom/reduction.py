@@ -17,20 +17,19 @@ in the first round where its branches are isomorphic, and a step is one
 round: one element of order p that rotates all of that round's groups.
 A tree whose reduced centre moved is peeled again from its new centre
 inside the same plan.  Each step's element must have only p-cycles and be
-an automorphism (:func:`fixed_subgraph` checks it), and the plan is made
+an automorphism (:func:`_round_element` checks both), and the plan is made
 again while p divides |Aut| of the result (Cauchy's check); an empty plan
 there is a failure.  The plan enumerates nothing, so it needs no budget.
 
-:func:`find_order_p_automorphism` answers with the lexicographically first
-automorphism of order p.  On a forest that element moves exactly p
-isomorphic sibling branches and fixes every other vertex, so it is built
-from the same pass (:func:`~modhom.graphs._forest_rotation`).  Other graphs
-run the search, which visits only partial maps that can still become an
-element of order p, and reduce one such element at a time until what is
-left is a forest.  The answer is checked against |Aut| by Cauchy's theorem
-(an element of order p exists iff p divides it): on forests of every size
-|Aut| comes from the pass, on other graphs of at most 8 vertices from the
-listed group; larger graphs with cycles go unchecked.  Every cycle of the
+:func:`find_order_p_automorphism` answers with the element of the first
+step :func:`reduced_form` takes.  On a forest that is the element of the
+plan's first round, and Cauchy's theorem (an element of order p exists iff
+p divides |Aut|) is checked both ways against |Aut| from the pass, at
+every size.  Other graphs run the search, which visits only partial maps
+that can still become an element of order p, and reduce by the
+lexicographically first such element, one step at a time, until what is
+left is a forest.  Their Cauchy check reads |Aut| from the listed group up
+to 8 vertices; larger graphs with cycles go unchecked.  Every cycle of the
 element must have length p.  The search's placements count against the
 state budget.
 """
@@ -45,7 +44,6 @@ from .errors import BudgetExceededError, InputError
 from .graphs import (
     Graph,
     Permutation,
-    _forest_rotation,
     _peel,
     are_isomorphic,
     automorphism_group,
@@ -77,25 +75,30 @@ def _assert_p_cycles(rho: Permutation, p: int) -> None:
 
 
 def find_order_p_automorphism(h: Graph, p: int) -> Permutation | None:
-    """First (lex by images) automorphism of order exactly p, or None.
+    """The element of order exactly p that :func:`reduced_form` quotients
+    by first, or None when there is none.
 
-    On a forest the element is built from the sibling groups of its
-    :func:`forest_symmetry` pass, which is kept on the graph and also gives
-    |Aut(h)|.  Any other graph runs the search, which lists only elements
-    of order p (see :func:`iter_automorphisms`); at most 8 vertices, the
+    On a forest it is the element of the first round of
+    :func:`_forest_plan`, read from the :func:`forest_symmetry` pass kept on
+    the graph, which also gives |Aut(h)|.  Any other graph runs the search,
+    which lists only elements of order p (see :func:`iter_automorphisms`),
+    and answers with the lexicographically first; at most 8 vertices, the
     listed group gives |Aut(h)|.  A known order is checked both ways by
     Cauchy's theorem: an element of order p exists iff p divides it.  Every
-    cycle of the element found must have length p.  Past the state budget
-    either route raises :class:`BudgetExceededError`.
+    cycle of the element must have length p.  Past the state budget the
+    search raises :class:`BudgetExceededError`; the plan enumerates
+    nothing.
     """
     _assert_prime(p)
     symmetry = forest_symmetry(h)
     if symmetry is not None:
-        group_order: int | None = symmetry.order
-        found = _forest_rotation(h, p)
-    else:
-        group_order = len(automorphism_group(h)) if h.n <= FULL_GROUP_BOUND else None
-        found = next(iter_automorphisms(h, order=p), None)
+        rounds = _forest_plan(h, p)
+        assert bool(rounds) == (symmetry.order % p == 0), (
+            "internal verification failure: Cauchy criterion violated"
+        )
+        return _round_element(h, rounds[0], range(h.n), p) if rounds else None
+    group_order = len(automorphism_group(h)) if h.n <= FULL_GROUP_BOUND else None
+    found = next(iter_automorphisms(h, order=p), None)
     assert group_order is None or (found is not None) == (group_order % p == 0), (
         "internal verification failure: Cauchy criterion violated"
     )
@@ -384,16 +387,54 @@ def _forest_plan(g: Graph, p: int) -> list[list[tuple[tuple[int, ...], ...]]]:
     return [rounds[k] for k in sorted(rounds)]
 
 
+def _round_element(
+    g: Graph,
+    rotations: Sequence[tuple[tuple[int, ...], ...]],
+    where: Sequence[int],
+    p: int,
+) -> Permutation:
+    """The element of g that rotates every branch of one round of
+    :func:`_forest_plan`, where the planned vertex v is vertex ``where[v]``
+    of g (-1 once gone).  Rotated branches must have one size and keep
+    their vertices, the element's cycles must all have length p, and it
+    must be an automorphism of g; each check fails as an internal
+    verification failure."""
+    images = list(range(g.n))
+    for branches in rotations:
+        for source, target in zip(branches, branches[1:] + branches[:1]):
+            if len(source) != len(target):
+                raise RuntimeError(
+                    "internal verification failure: rotated branches differ in size"
+                )
+            for v, w in zip(source, target):
+                x, y = where[v], where[w]
+                if x < 0 or y < 0:
+                    raise RuntimeError(
+                        "internal verification failure: the plan moves a removed vertex"
+                    )
+                images[x] = y
+    try:
+        rho = Permutation(tuple(images))
+    except InputError as exc:
+        raise RuntimeError(f"internal verification failure: {exc}") from exc
+    _assert_p_cycles(rho, p)
+    if not rho.is_automorphism_of(g):
+        raise RuntimeError(
+            "internal verification failure: permutation is not an automorphism of the graph"
+        )
+    return rho
+
+
 def _reduce_forest(h: Graph, p: int, steps: list[ReductionStep]) -> Graph:
     """Reduce the forest h by the rounds of :func:`_forest_plan`, one step
     per round, appending the steps; the reduced forest.
 
-    Each round's element rotates all of its branches at once.  Its cycles
-    must all have length p and :func:`fixed_subgraph` checks that it is an
-    automorphism.  The plan is made again on the result while p divides
-    |Aut| of the result (Cauchy's check): a plan can leave a symmetry that
-    only shows from the new centres, say between a re-peeled tree and one
-    that was not.  An empty plan there is a failure.
+    Each round's element rotates all of its branches at once and is
+    checked by :func:`_round_element`.  The plan is made again on the
+    result while p divides |Aut| of the result (Cauchy's check): a plan can
+    leave a symmetry that only shows from the new centres, say between a
+    re-peeled tree and one that was not.  An empty plan there is a
+    failure.
     """
     current = h
     while current._forest_symmetry.order % p == 0:
@@ -405,26 +446,9 @@ def _reduce_forest(h: Graph, p: int, steps: list[ReductionStep]) -> Graph:
             )
         where = list(range(current.n))  # planned vertex -> its label now, -1 once gone
         for index, rotations in enumerate(rounds):
-            images = list(range(current.n))
-            for branches in rotations:
-                for source, target in zip(branches, branches[1:] + branches[:1]):
-                    if len(source) != len(target):
-                        raise RuntimeError(
-                            "internal verification failure: rotated branches differ in size"
-                        )
-                    for v, w in zip(source, target):
-                        x, y = where[v], where[w]
-                        if x < 0 or y < 0:
-                            raise RuntimeError(
-                                "internal verification failure: the plan moves a removed vertex"
-                            )
-                        images[x] = y
-            try:
-                rho = Permutation(tuple(images))
-                _assert_p_cycles(rho, p)
-                after, fixed = fixed_subgraph(current, rho)
-            except InputError as exc:
-                raise RuntimeError(f"internal verification failure: {exc}") from exc
+            rho = _round_element(current, rotations, where, p)
+            fixed = [v for v, w in enumerate(rho.images) if v == w]
+            after = current.induced(fixed)
             steps.append(ReductionStep(current, rho, after, tuple(fixed)))
             if index + 1 < len(rounds):
                 rank = [-1] * current.n

@@ -342,11 +342,16 @@ def assemble_gadget(
 # the search
 
 
-def _search_m_cap(p: int, max_m: int | None) -> int:
-    cap = p + 1 if max_m is None else max_m
-    if cap < 2:
+def _search_caps(p: int, max_m: int | None, entry_cap: int | None) -> tuple[int, int]:
+    """The family size cap (default p+1) and the entry cap (default p-1);
+    InputError when the first is below 2 or the second negative."""
+    cap_m = p + 1 if max_m is None else max_m
+    if cap_m < 2:
         raise InputError("family size cap must be at least 2")
-    return cap
+    cap = p - 1 if entry_cap is None else entry_cap
+    if cap < 0:
+        raise InputError("entry cap must be non-negative")
+    return cap_m, cap
 
 
 def _gamma_dlog_table(gv: int, p: int) -> dict[int, int]:
@@ -458,10 +463,7 @@ def search_gadget(
         raise InputError("search requires lambda nonzero")
     if sp.gamma_sq_is_one:
         raise InputError("search requires gamma^2 not congruent to 1")
-    cap_m = _search_m_cap(p, max_m)
-    cap = entry_cap if entry_cap is not None else p - 1
-    if cap < 0:
-        raise InputError("entry cap must be non-negative")
+    cap_m, cap = _search_caps(p, max_m, entry_cap)
 
     gv, lv = sp.gamma.value, sp.lam.value
     dlog = _gamma_dlog_table(gv, p)
@@ -597,9 +599,11 @@ def classify_spin(
     carry a verified witness: a clique for gamma = 0, a parallel bundle
     when lambda is a power of gamma, or a search hit.  Everything else is
     Unknown — either genuinely unclassified (gamma = -1) or
-    searched-without-success within the given bounds.
+    searched-without-success within the given bounds.  The caps are
+    checked as :func:`search_gadget` checks them, whichever case answers.
     """
     p = sp.p
+    _search_caps(p, max_m, entry_cap)
     gamma, lam = sp.gamma, sp.lam
 
     if lam.is_zero():

@@ -20,6 +20,7 @@ the graph itself only for a cross-check that is about to run on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -710,67 +711,13 @@ class GPhiConstruction:
     The core encodes each variable as a six-cycle u, v, w, v-bar, u-bar, z
     plus one extra right vertex per clause wired to the literals' u / u-bar
     vertices.  One gadget copy hangs off each w, z and clause vertex.
-    """
 
-    graph: BipartiteGraph
-    gadget: BGadget
-    n: int
-    m: int
-    u: tuple[int, ...]
-    ubar: tuple[int, ...]
-    w: tuple[int, ...]
-    v: tuple[int, ...]
-    vbar: tuple[int, ...]
-    z: tuple[int, ...]
-    y: tuple[int, ...]
-    core_size: int
-    core_edges: frozenset[tuple[int, int]]
-    copies: tuple[CopyInfo, ...]
-
-    def core_graph(self) -> BipartiteGraph:
-        left = [x for x in range(self.core_size) if x in self.graph.left]
-        right = [x for x in range(self.core_size) if x in self.graph.right]
-        return BipartiteGraph.make(left, right, self.core_edges)
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "vertices": self.graph.n,
-            "edges": self.graph.m,
-            "left_size": len(self.graph.left),
-            "right_size": len(self.graph.right),
-            "core_size": self.core_size,
-            "u": list(self.u),
-            "ubar": list(self.ubar),
-            "w": list(self.w),
-            "v": list(self.v),
-            "vbar": list(self.vbar),
-            "z": list(self.z),
-            "y": list(self.y),
-            "gadget": self.gadget.to_json(),
-            "copies": [
-                {
-                    "index": c.index,
-                    "core_vertex": c.core_vertex,
-                    "side": c.side,
-                    "block_start": c.block_start,
-                    "block_size": c.block_size,
-                }
-                for c in self.copies
-            ],
-        }
-
-
-@dataclass(frozen=True)
-class _GPhiLayout:
-    """G_phi without its edge set: the core, the gadget, and where each copy
-    of B goes.
-
-    A copy adds |V(B)| - 1 vertices and |E(B)| edges (the identified
-    vertex's edges become edges to the core vertex), and it takes one vertex
-    off the side the identified vertex was on; so the sizes of G_phi are
-    arithmetic.  ``materialise`` builds the graph itself.
+    The fields are G_phi's layout: the core, the gadget, and where each
+    copy of B goes.  A copy adds |V(B)| - 1 vertices and |E(B)| edges (the
+    identified vertex's edges become edges to the core vertex), and it
+    takes one vertex off the side the identified vertex was on; so the
+    sizes of G_phi are arithmetic.  ``graph`` builds the graph itself on
+    first read and keeps it.
     """
 
     gadget: BGadget
@@ -805,6 +752,10 @@ class _GPhiLayout:
     def right_size(self) -> int:
         return self.vertices - self.left_size
 
+    @cached_property
+    def graph(self) -> BipartiteGraph:
+        return self.materialise()
+
     def materialise(self) -> BipartiteGraph:
         """The whole graph: the core plus every copy, each copy's identified
         vertex replaced by the core vertex it hangs off."""
@@ -835,9 +786,39 @@ class _GPhiLayout:
                 edges.add((min(a, b), max(a, b)))
         return BipartiteGraph.make(left, right, edges)
 
+    def to_json(self) -> dict:
+        return {
+            "n": self.n,
+            "m": self.m,
+            "vertices": self.vertices,
+            "edges": self.edges,
+            "left_size": self.left_size,
+            "right_size": self.right_size,
+            "core_size": self.core_size,
+            "u": list(self.u),
+            "ubar": list(self.ubar),
+            "w": list(self.w),
+            "v": list(self.v),
+            "vbar": list(self.vbar),
+            "z": list(self.z),
+            "y": list(self.y),
+            "gadget": self.gadget.to_json(),
+            "copies": [
+                {
+                    "index": c.index,
+                    "core_vertex": c.core_vertex,
+                    "side": c.side,
+                    "block_start": c.block_start,
+                    "block_size": c.block_size,
+                }
+                for c in self.copies
+            ],
+        }
 
-def _g_phi_layout(phi: CnfFormula, w: WbisWeights) -> _GPhiLayout:
-    """Lay out the reduction graph for a CNF formula.
+
+def build_G_phi(phi: CnfFormula, w: WbisWeights) -> GPhiConstruction:
+    """Lay out the reduction graph for a CNF formula; the graph itself is
+    built on the first read of ``graph``.
 
     Core ids: u_i = i, ubar_i = n+i, w_i = 2n+i (left side); v_i = 3n+i,
     vbar_i = 4n+i, z_i = 5n+i, y_j = 6n+j (right side), all 0-based.  Copy
@@ -878,7 +859,7 @@ def _g_phi_layout(phi: CnfFormula, w: WbisWeights) -> _GPhiLayout:
         )
         for j, (core_vertex, side) in enumerate(hosts, start=1)
     )
-    return _GPhiLayout(
+    return GPhiConstruction(
         gadget=gadget,
         n=n,
         m=m,
@@ -893,13 +874,6 @@ def _g_phi_layout(phi: CnfFormula, w: WbisWeights) -> _GPhiLayout:
         core_edges=frozenset(core_edges),
         copies=copies,
     )
-
-
-def build_G_phi(phi: CnfFormula, w: WbisWeights) -> GPhiConstruction:
-    """Assemble the reduction graph for a CNF formula: its layout (see
-    ``_g_phi_layout`` for the vertex ids) and the materialised graph."""
-    layout = _g_phi_layout(phi, w)
-    return GPhiConstruction(graph=layout.materialise(), **vars(layout))
 
 
 # ---------------------------------------------------------------------------
@@ -951,7 +925,7 @@ def verify_sat_reduction(phi: CnfFormula, w: WbisWeights) -> SatReductionReport:
     # #SAT's budget check comes first, so a formula too wide for it is
     # refused before G_phi, six vertices per variable, is laid out.
     sat = count_sat(phi)
-    layout = _g_phi_layout(phi, w)
+    layout = build_G_phi(phi, w)
     gadget = layout.gadget
     p = w.p
     n, m = layout.n, layout.m
@@ -981,7 +955,7 @@ def verify_sat_reduction(phi: CnfFormula, w: WbisWeights) -> SatReductionReport:
         layout.left_size, layout.right_size
     ) <= SIDE_TRACE_BITS
     if total_n <= BRANCH_BUDGET or side_trace:
-        graph = layout.materialise()
+        graph = layout.graph
         if total_n <= SUBSET_BOUND:
             flat = z_wbis_subsets(graph, llv, lrv) % p
             if flat != lhs.value:

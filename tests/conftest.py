@@ -464,20 +464,14 @@ def flat_forest_reduced_codes(g: Graph, p: int) -> list[str]:
     return sorted(code for code, k in counts.items() for _ in range(k % p))
 
 
-def flat_sibling_groups(g: Graph) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
-    """The least vertex of every rooted subtree of the forest ``g`` (at a
-    bicentre, of its half), and, sorted, every set of two or more
-    isomorphic sibling branches as the ascending tuple of their roots: the
-    children of one vertex with equal codes, the two halves of a bicentre
-    when their codes are equal, and isomorphic trees, each named by its
-    least centre."""
+def flat_subtree_minima(g: Graph) -> tuple[int, ...]:
+    """The least vertex of every rooted subtree of the forest ``g``, each
+    tree rooted at its centre (at a bicentre, the least vertex of its
+    half)."""
     adj = _flat_tree_adjacency(g)
     minimum = list(range(g.n))
-    groups: list[tuple[int, ...]] = []
-    trees: dict[str, list[int]] = {}
     for comp in flat_components(g):
-        part = {v: adj[v] for v in comp}
-        centres, parent, code = _flat_tree_state(part)
+        centres, parent, _ = _flat_tree_state({v: adj[v] for v in comp})
         for v in comp:
             x = v  # every vertex on the way up to the centre has v below it
             while True:
@@ -485,17 +479,7 @@ def flat_sibling_groups(g: Graph) -> tuple[tuple[int, ...], list[tuple[int, ...]
                 if x in centres:
                     break
                 x = parent[x]
-        for v in comp:
-            kids: dict[str, list[int]] = {}
-            for w in part[v]:
-                if w != parent[v]:
-                    kids.setdefault(code[w], []).append(w)
-            groups += [tuple(sorted(ws)) for ws in kids.values() if len(ws) > 1]
-        if len(centres) == 2 and code[centres[0]] == code[centres[1]]:
-            groups.append(tuple(centres))
-        trees.setdefault(_flat_tree_code_of(part), []).append(centres[0])
-    groups += [tuple(sorted(roots)) for roots in trees.values() if len(roots) > 1]
-    return tuple(minimum), sorted(groups)
+    return tuple(minimum)
 
 
 # ---------------------------------------------------------------------------

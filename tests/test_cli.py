@@ -239,6 +239,22 @@ def test_spin_search_with_entry_and_family_caps(capsys):
     assert doc["z0"] == doc["z1"] != 0
 
 
+@pytest.mark.parametrize("command", ["classify", "search"])
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--max-m", "1", "family size cap must be at least 2"),
+        ("--entry-cap", "-1", "entry cap must be non-negative"),
+    ],
+)
+def test_spin_refuses_caps_out_of_range(capsys, command, flag, value, message):
+    # at (5, 2, 3) lambda is a power of gamma, so classify answers before
+    # any search
+    argv = ["spin", command, "--p", "5", "--gamma", "2", "--lambda", "3", flag, value]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_spin_search_respects_config_cap(capsys, tmp_path):
     conf = tmp_path / "conf.json"
     conf.write_text('{"search_m_cap": 5}')
@@ -370,6 +386,21 @@ def test_atlas_refuses_a_repeated_prime(capsys, tmp_path):
     conf.write_text('{"primes": [5, 2, 5]}')
     assert main(["--config", str(conf), "atlas", "--max-n", "2"]) == 1
     assert capsys.readouterr().err == "error: prime 5 is listed twice\n"
+
+
+def test_atlas_refuses_an_empty_prime_list(capsys, tmp_path):
+    assert main(["atlas", "--max-n", "4", "--primes", ","]) == 1
+    assert capsys.readouterr().err == "error: the prime list is empty\n"
+    conf = tmp_path / "none.json"
+    conf.write_text('{"primes": []}')
+    assert main(["--config", str(conf), "atlas", "--max-n", "2"]) == 1
+    assert capsys.readouterr().err == "error: the prime list is empty\n"
+
+
+@pytest.mark.parametrize("max_n", ["0", "-3"])
+def test_atlas_refuses_max_n_below_one(capsys, max_n):
+    assert main(["atlas", "--max-n", max_n, "--primes", "2"]) == 1
+    assert capsys.readouterr().err == "error: --max-n must be at least 1\n"
 
 
 def test_atlas_rows_are_sound(capsys):

@@ -15,11 +15,9 @@ from conftest import (
     flat_automorphisms,
     flat_marked_isomorphic,
     flat_order,
-    flat_sibling_groups,
     flat_structure,
-    rand_tree,
+    flat_subtree_minima,
 )
-from modhom import graphs
 from modhom.errors import InputError
 from modhom.graphs import (
     BipartiteGraph,
@@ -345,13 +343,12 @@ def test_forest_group_order_matches_flat_oracle(g):
 def test_forest_symmetry_matches_flat_oracle(g):
     """The group order counts the automorphisms, two vertices share an
     orbit class iff some automorphism maps one onto the other, and the
-    subtree minima and sibling groups are those of a naive rooting.  Random
-    forests stop at 8 vertices, where the oracle tries 8! maps; the examples
-    reach 9."""
+    subtree minima are those of a naive rooting.  Random forests stop at 8
+    vertices, where the oracle tries 8! maps; the examples reach 9."""
     sym = forest_symmetry(g)
     auts = flat_automorphisms(g)
     assert sym is not None and sym.order == len(auts)
-    assert (sym.minimum, sorted(sym.groups)) == flat_sibling_groups(g)
+    assert sym.minimum == flat_subtree_minima(g)
     for u in range(g.n):
         images = {a[u] for a in auts}
         assert images == {v for v in range(g.n) if sym.orbit[v] == sym.orbit[u]}
@@ -361,61 +358,6 @@ def test_forest_symmetry_matches_flat_oracle(g):
             assert sym.parent[a[v]] == (-1 if u < 0 else a[u])
             x = sym.partner[v]
             assert sym.partner[a[v]] == (-1 if x < 0 else a[x])
-
-
-@st.composite
-def symmetric_forests(draw, n_max: int = 14) -> Graph:
-    """A randomly relabelled forest of at most ``n_max`` vertices: a Pruefer
-    tree; 2-6 copies of a branch on a hub plus a tail; repeated trees beside
-    another; or two equal halves joined at their roots."""
-    rng = draw(st.randoms(use_true_random=False))
-    kind = draw(st.sampled_from(("pruefer", "copies", "repeated", "halves")))
-    edges: list[tuple[int, int]] = []
-    if kind == "pruefer":
-        g = rand_tree(rng, draw(st.integers(1, n_max)))
-        edges, n = list(g.edges), g.n
-    elif kind == "copies":
-        copies = draw(st.integers(2, 6))
-        size = draw(st.integers(1, (n_max - 1) // copies))
-        branch, n = rand_tree(rng, size), 1
-        for _ in range(copies):
-            edges += [(0, n)] + [(n + u, n + v) for u, v in branch.edges]
-            n += size
-        tail = rand_tree(rng, draw(st.integers(0, n_max - n)))
-        if tail.n:
-            edges.append((rng.randrange(n), n))
-            edges += [(n + u, n + v) for u, v in tail.edges]
-            n += tail.n
-    elif kind == "repeated":
-        copies = draw(st.integers(2, 6))
-        size = draw(st.integers(1, n_max // copies))
-        n = 0
-        for tree in [rand_tree(rng, size)] * copies + [
-            rand_tree(rng, draw(st.integers(0, n_max - copies * size)))
-        ]:
-            edges += [(n + u, n + v) for u, v in tree.edges]
-            n += tree.n
-    else:
-        half = rand_tree(rng, draw(st.integers(1, n_max // 2)))
-        n = 2 * half.n
-        edges = [(0, half.n)] + [
-            (base + u, base + v) for base in (0, half.n) for u, v in half.edges
-        ]
-    images = list(range(n))
-    rng.shuffle(images)
-    return Graph.make(n, edges).relabel(images)
-
-
-@given(symmetric_forests(), st.sampled_from((2, 3, 5, 7)))
-@example(THREE_BRANCHES, 3)
-@example(TWO_HALVES, 2)
-@settings(max_examples=300, deadline=None)
-def test_forest_rotation_matches_the_search(g, p):
-    """The element built from the sibling groups is the search's first
-    element of order p, or None exactly when the search finds none."""
-    built = graphs._forest_rotation(g, p)
-    searched = next(iter_automorphisms(g, order=p), None)
-    assert (built and built.images) == (searched and searched.images)
 
 
 def test_forest_symmetry_roots_at_the_centre():

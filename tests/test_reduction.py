@@ -26,8 +26,10 @@ from modhom.graphs import (
     Graph,
     Permutation,
     are_isomorphic,
+    complete_graph,
     cycle_graph,
     forest_symmetry,
+    iter_automorphisms,
     nonisomorphic_trees,
     path_graph,
     star_graph,
@@ -82,12 +84,13 @@ def test_forest_shortcut_skips_the_search(monkeypatch):
     # double star with 5 + 5 leaves: |Aut| = 5! * 5! * 2, not divisible by 7
     t = Graph.make(12, [(0, 1)] + [(0, v) for v in range(2, 7)] + [(1, v) for v in range(7, 12)])
     assert find_order_p_automorphism(t, 7) is None
-    # a forest's element is built, never searched for
-    assert find_order_p_automorphism(t, 5).cycles() == ((7, 8, 9, 10, 11),)
+    # a forest's element is the first round of its plan, never searched for:
+    # both centres' five leaves rotate at once
+    assert find_order_p_automorphism(t, 5).cycles() == ((2, 3, 4, 5, 6), (7, 8, 9, 10, 11))
 
 
 def test_empty_search_on_a_forest_fails_the_cauchy_check(monkeypatch):
-    monkeypatch.setattr(reduction, "_forest_rotation", lambda h, p: None)
+    monkeypatch.setattr(reduction, "_forest_plan", lambda g, p: [])
     with pytest.raises(AssertionError, match="Cauchy criterion violated"):
         find_order_p_automorphism(star_graph(9), 3)
     # a forest of any size is checked against its exact group order
@@ -100,7 +103,7 @@ def test_empty_search_on_a_forest_fails_the_cauchy_check(monkeypatch):
 
 def test_empty_search_at_full_group_size_fails_the_cauchy_check(monkeypatch):
     # |Aut(K_{1,3})| = 6: an element of order 3 must exist
-    monkeypatch.setattr(reduction, "_forest_rotation", lambda h, p: None)
+    monkeypatch.setattr(reduction, "_forest_plan", lambda g, p: [])
     with pytest.raises(AssertionError, match="Cauchy criterion violated"):
         find_order_p_automorphism(star_graph(3), 3)
     # off forests the listed group gives the order: |Aut(C_6)| = 12
@@ -111,15 +114,11 @@ def test_empty_search_at_full_group_size_fails_the_cauchy_check(monkeypatch):
 
 def test_spurious_element_at_full_group_size_fails_the_cauchy_check(monkeypatch):
     # |Aut(P_3)| = 2 and |Aut(C_5)| = 10, so neither has an element of
-    # order 3; an element that appears anyway is checked
-    flip = Permutation((2, 1, 0))
-    monkeypatch.setattr(reduction, "_forest_rotation", lambda h, p: flip)
+    # order 3; a plan that rotates anyway is checked
+    monkeypatch.setattr(reduction, "_forest_plan", lambda g, p: [[((0,), (1,), (2,))]])
     with pytest.raises(AssertionError, match="Cauchy criterion violated"):
         find_order_p_automorphism(path_graph(3), 3)
     # P_12 is past the full-group bound; its exact order 2 still checks
-    monkeypatch.setattr(
-        reduction, "_forest_rotation", lambda h, p: Permutation(tuple(range(h.n))[::-1])
-    )
     with pytest.raises(AssertionError, match="Cauchy criterion violated"):
         find_order_p_automorphism(path_graph(12), 3)
     reflection = Permutation((0, 4, 3, 2, 1))
@@ -132,10 +131,11 @@ def test_spurious_element_at_full_group_size_fails_the_cauchy_check(monkeypatch)
 
 def test_element_with_a_cycle_of_another_length_fails_the_check(monkeypatch):
     # |Aut(K_{1,3})| = 6 passes Cauchy at p = 3, but neither a transposition
-    # of two leaves nor the identity has order 3
+    # of two leaves nor the identity (one leaf rotated onto itself) has
+    # order 3
     star = star_graph(3)
-    for wrong in ((0, 2, 1, 3), (0, 1, 2, 3)):
-        monkeypatch.setattr(reduction, "_forest_rotation", lambda h, p: Permutation(wrong))
+    for plan in ([[((1,), (2,))]], [[((1,),)]]):
+        monkeypatch.setattr(reduction, "_forest_plan", lambda g, p: plan)
         with pytest.raises(AssertionError, match="cycles are not all of length 3"):
             find_order_p_automorphism(star, 3)
     # off forests the search's element is checked the same way: C_6 has
@@ -175,9 +175,10 @@ def _leaves_first(t: Graph) -> Graph:
 
 
 def test_order_p_element_is_the_lex_first_of_the_flat_group():
-    """On forests of up to 9 vertices the element found is the first
-    non-identity element of order p among all n! maps in lexicographic
-    order, or None when there is none."""
+    """Against all n! maps in lexicographic order: on forests of up to 9
+    vertices an element of order p is found exactly when one exists, and
+    on graphs with cycles, where the search answers, it is the first
+    non-identity element of order p."""
     rng = random.Random(RNG_SEED + 2)
     forests = [Graph.make(0), Graph.make(3)]
     forests += [  # many copies of a branch, leaves placed before parents
@@ -198,26 +199,40 @@ def test_order_p_element_is_the_lex_first_of_the_flat_group():
         images = list(range(g.n))
         rng.shuffle(images)
         forests.append(g.relabel(images))
-    for g in forests:
+    cyclic = [cycle_graph(4), cycle_graph(6), complete_graph(4), grid(2, 3)]
+    cyclic += [rand_graph(rng, rng.randint(3, 6), 0.6) for _ in range(20)]
+    for g in forests + cyclic:
         auts = flat_automorphisms(g)
+        searched = forest_symmetry(g) is None
         for p in (2, 3, 5):
             found = find_order_p_automorphism(g, p)
             first = next((a for a in auts if flat_order(a) == p), None)
-            assert (found and found.images) == first
+            if searched:
+                assert (found and found.images) == first
+            else:
+                assert (found is None) == (first is None)
+                assert found is None or found.images in auts and flat_order(found.images) == p
 
 
-def test_rotation_placements_count_against_the_state_budget():
-    # three two-vertex branches on a hub: vertices 1-4 each have one image
-    # refused before the one they keep; 5 and 6 take the one image left
-    g = _copies_under_a_hub(path_graph(2), 3)
-    with state_budget_scope(9):
-        with pytest.raises(
-            BudgetExceededError,
-            match="rotation of 3 branches on 6 vertices made 10 placements > state budget 9;",
-        ):
-            find_order_p_automorphism(g, 3)
-    with state_budget_scope(10):
-        assert find_order_p_automorphism(g, 3).cycle_notation() == "(1 3 5)(2 4 6)"
+def test_order_p_element_is_the_first_reduction_step():
+    """The element found is the one reduced_form quotients by first, or
+    None when it takes no step: on trees of up to 10 vertices, two-tree
+    forests, relabelled forests of many copies of a branch, and graphs
+    with cycles."""
+    rng = random.Random(RNG_SEED + 3)
+    cases = [t for n in range(1, 11) for t in nonisomorphic_trees(n)]
+    trees = [t for n in range(1, 8) for t in nonisomorphic_trees(n)]
+    cases += [side_by_side(a, b) for i, a in enumerate(trees) for b in trees[i:]]
+    for _ in range(40):
+        g = _copies_under_a_hub(rand_tree(rng, rng.randint(1, 4)), rng.randint(2, 7))
+        images = list(range(g.n))
+        rng.shuffle(images)
+        cases.append(g.relabel(images))
+    cases += [cycle_graph(6), complete_graph(4), grid(3, 3)]
+    for g in cases:
+        for p in (2, 3, 5, 7):
+            steps = reduced_form(g, p).steps
+            assert find_order_p_automorphism(g, p) == (steps[0].automorphism if steps else None)
 
 
 def test_one_symmetry_pass_per_step(monkeypatch):
@@ -233,6 +248,14 @@ def test_one_symmetry_pass_per_step(monkeypatch):
 def test_long_path_has_its_reflection():
     rho = find_order_p_automorphism(path_graph(300), 2)
     assert rho is not None and rho.images == tuple(range(299, -1, -1))
+
+
+def grid(rows: int, cols: int) -> Graph:
+    return Graph.make(
+        rows * cols,
+        [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+        + [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)],
+    )
 
 
 def hypercube(d: int) -> Graph:
@@ -310,9 +333,9 @@ def test_trace_to_json_shape():
 
 def lex_first_result(h: Graph, p: int) -> Graph:
     """The per-step loop: quotient by the lexicographically first element
-    of order p until there is none."""
+    of order p, from the general search, until there is none."""
     current = h
-    while (rho := find_order_p_automorphism(current, p)) is not None:
+    while (rho := next(iter_automorphisms(current, order=p), None)) is not None:
         current, _ = fixed_subgraph(current, rho)
     return current
 
@@ -445,10 +468,11 @@ def test_an_empty_plan_while_p_divides_the_order_is_refused(monkeypatch):
 def test_a_rotation_onto_a_non_isomorphic_branch_is_refused(monkeypatch):
     # P5 is 0-1-2-3-4: swapping the leaf 0 with vertex 1 is no automorphism
     monkeypatch.setattr(reduction, "_forest_plan", lambda g, p: [[((0,), (1,))]])
-    with pytest.raises(
-        RuntimeError, match="internal verification failure: permutation is not an automorphism"
-    ):
-        reduced_form(path_graph(5), 2)
+    for answer in (reduced_form, find_order_p_automorphism):
+        with pytest.raises(
+            RuntimeError, match="internal verification failure: permutation is not an automorphism"
+        ):
+            answer(path_graph(5), 2)
     # branches of different sizes are refused before an element is built
     monkeypatch.setattr(reduction, "_forest_plan", lambda g, p: [[((0, 1), (4,))]])
     with pytest.raises(RuntimeError, match="rotated branches differ in size"):

@@ -323,6 +323,17 @@ def test_search_rejects_family_cap_below_two():
         search_gadget(sp(18, 6, 41), max_m=1)
 
 
+@pytest.mark.parametrize(
+    "params", [(2, 3, 5), (0, 3, 7), (1, 2, 5), (18, 6, 41)], ids=str
+)
+def test_classify_checks_the_caps_whichever_case_answers(params):
+    # a parallel-edge witness, a clique, an easy pair and a search alike
+    with pytest.raises(InputError, match="family size cap must be at least 2"):
+        classify_spin(sp(*params), max_m=1)
+    with pytest.raises(InputError, match="entry cap must be non-negative"):
+        classify_spin(sp(*params), entry_cap=-1)
+
+
 def test_search_p41_gamma18_lambda6_has_a_witness():
     """The one historically elusive pair: the orbit of gamma = 18 has order
     5, and no family of size m <= 5 can reach lambda = 6, but at m = 6 the

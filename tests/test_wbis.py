@@ -499,25 +499,25 @@ def test_layout_sizes_match_the_built_graph(p):
         n = rng.randint(0, 3)
         phi = _random_formula(rng, n, rng.randint(0, 3) if n else 0)
         w = WbisWeights.of(rng.randrange(1, p), rng.randrange(1, p), p)
-        layout = wbis._g_phi_layout(phi, w)
+        layout = build_G_phi(phi, w)
         graph = layout.materialise()
         assert (layout.vertices, layout.edges) == (graph.n, graph.m)
         assert (layout.left_size, layout.right_size) == (
             len(graph.left),
             len(graph.right),
         )
-        assert build_G_phi(phi, w).graph == graph
+        assert layout.graph == graph
 
 
 def test_sat_reduction_builds_g_phi_only_for_its_cross_checks(monkeypatch):
     """At p=97 no cross-check runs, so G_phi (9240 vertices, 882792 edges
     here) is never built; on the shapes that run checks it still is."""
-    real = wbis._GPhiLayout.materialise
+    real = wbis.GPhiConstruction.materialise
 
     def refuse(layout):
         raise AssertionError("G_phi materialised")
 
-    monkeypatch.setattr(wbis._GPhiLayout, "materialise", refuse)
+    monkeypatch.setattr(wbis.GPhiConstruction, "materialise", refuse)
     phi = parse_dimacs_cnf((DATA / "phi_6x12.cnf").read_text())
     report = verify_sat_reduction(phi, WbisWeights.of(3, 5, 97))
     assert report.ok and report.checks == ()
@@ -529,7 +529,7 @@ def test_sat_reduction_builds_g_phi_only_for_its_cross_checks(monkeypatch):
         built.append(layout.vertices)
         return real(layout)
 
-    monkeypatch.setattr(wbis._GPhiLayout, "materialise", counted)
+    monkeypatch.setattr(wbis.GPhiConstruction, "materialise", counted)
     rng = random.Random(f"{RNG_SEED}/materialise")
     for n, m, checks in [(1, 1, ("flat_subsets",)), (2, 2, ("branching", "side_trace"))]:
         phi = _random_formula(rng, n, m)
