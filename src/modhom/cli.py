@@ -219,11 +219,10 @@ def _cmd_spin_classify(args: argparse.Namespace) -> int:
 def _cmd_spin_search(args: argparse.Namespace) -> int:
     max_m = args.max_m if args.max_m is not None else args.config.search_m_cap
     if args.sweep is not None:
+        outcomes = search_sweep(args.sweep, max_m=max_m, entry_cap=args.entry_cap)
         writer = sys.stdout
         writer.write("p,gamma,lambda,result,witness,z0\n")
-        for outcome in search_sweep(
-            args.sweep, max_m=max_m, entry_cap=args.entry_cap
-        ):
+        for outcome in outcomes:
             kv = (
                 " ".join(str(e) for e in outcome.found.entries())
                 if outcome.found

@@ -8,7 +8,8 @@ maps them to exit codes 1 and 2 respectively.
 One state budget bounds the work of every engine, each in its own unit:
 the table states of a partition sum (and the multiply-adds of one matrix
 product of a subdivided count), the placements of a symmetry search, the
-2^n assignments of #SAT and the images tried by hom enumeration.  Every
+2^n assignments of #SAT, the images tried by hom enumeration and the
+clique-half terms of a gadget scan.  Every
 engine reads it from :func:`state_budget_default` and words its refusal
 with :func:`over_budget`.
 """

@@ -7,31 +7,31 @@ reduced form is unique up to isomorphism (Faben & Jerrum 2015), so any order
 of removal is sound; ``tie_break="all_paths"`` checks that empirically by
 exploring every reduction order.
 
-A forest reduces bottom-up from the canonical-code pass kept on the graph
-(:func:`~modhom.graphs.forest_symmetry`).  When p does not divide |Aut|
-there is no step.  Otherwise one plan (:func:`_forest_plan`) groups each
-vertex's kept children by reduced code and rotates away all but the c mod
-p of each group of c with the least vertices, and the same for whole trees
-and, at p = 2, the two halves of a bicentre.  Each rotation is scheduled
-in the first round where its branches are isomorphic, and a step is one
-round: one element of order p that rotates all of that round's groups.
-A tree whose reduced centre moved is peeled again from its new centre
-inside the same plan.  Each step's element must have only p-cycles and be
-an automorphism (:func:`_round_element` checks both), and the plan is made
-again while p divides |Aut| of the result (Cauchy's check); an empty plan
-there is a failure.  The plan enumerates nothing, so it needs no budget.
+:func:`reduced_form` is one loop: :func:`_plan` gives the next rounds of
+rotations, each round is one step, an element of order p built and checked
+by :func:`_round_element` (it must move some vertex, have only p-cycles
+and be an automorphism), and the loop plans again on the result until the
+plan is empty.  :func:`find_order_p_automorphism` answers with the element
+of the plan's first round.
 
-:func:`find_order_p_automorphism` answers with the element of the first
-step :func:`reduced_form` takes.  On a forest that is the element of the
-plan's first round, and Cauchy's theorem (an element of order p exists iff
-p divides |Aut|) is checked both ways against |Aut| from the pass, at
-every size.  Other graphs run the search, which visits only partial maps
-that can still become an element of order p, and reduce by the
-lexicographically first such element, one step at a time, until what is
-left is a forest.  Their Cauchy check reads |Aut| from the listed group up
-to 8 vertices; larger graphs with cycles go unchecked.  Every cycle of the
-element must have length p.  The search's placements count against the
-state budget.
+A forest is planned bottom-up from the canonical-code pass kept on the
+graph (:func:`~modhom.graphs.forest_symmetry`) when p divides |Aut|.  The
+plan (:func:`_forest_plan`) groups each vertex's kept children by reduced
+code and rotates away all but the c mod p of each group of c with the
+least vertices, and the same for whole trees and, at p = 2, the two
+halves of a bicentre.  Each rotation is scheduled in the first round where
+its branches are isomorphic; a round rotates all of its groups at once.  A
+tree whose reduced centre moved is peeled again from its new centre inside
+the same plan.  The plan enumerates nothing, so it needs no budget.  A
+graph with cycles is planned as one round, the p-cycles of the
+lexicographically first element of order p that the search lists; the
+search's placements count against the state budget.
+
+Cauchy's theorem (an element of order p exists iff p divides |Aut|) is
+checked both ways wherever |Aut| is known: from the pass on forests of
+every size, and from the listed group on graphs with cycles of up to 8
+vertices.  Every failed check raises ``RuntimeError("internal verification
+failure: ...")``.
 """
 
 from __future__ import annotations
@@ -55,56 +55,25 @@ FULL_GROUP_BOUND = 8
 ALL_PATHS_BOUND = 10
 
 
-def _assert_p_cycles(rho: Permutation, p: int) -> None:
-    """Check that rho moves some vertex and that every vertex it moves
-    comes back after exactly p images (p is prime, so its cycle has length
-    p)."""
-    images = rho.images
-    moved = [v for v, w in enumerate(images) if v != w]
-    ok = bool(moved)
-    for v in moved:
-        w = images[v]
-        for _ in range(p - 2):
-            if w == v:
-                break
-            w = images[w]
-        if w == v or images[w] != v:
-            ok = False
-            break
-    assert ok, f"internal verification failure: the element's cycles are not all of length {p}"
-
-
 def find_order_p_automorphism(h: Graph, p: int) -> Permutation | None:
     """The element of order exactly p that :func:`reduced_form` quotients
-    by first, or None when there is none.
+    by first, or None when there is none: the element of the first round
+    of :func:`_plan`.
 
-    On a forest it is the element of the first round of
-    :func:`_forest_plan`, read from the :func:`forest_symmetry` pass kept on
-    the graph, which also gives |Aut(h)|.  Any other graph runs the search,
-    which lists only elements of order p (see :func:`iter_automorphisms`),
-    and answers with the lexicographically first; at most 8 vertices, the
-    listed group gives |Aut(h)|.  A known order is checked both ways by
-    Cauchy's theorem: an element of order p exists iff p divides it.  Every
-    cycle of the element must have length p.  Past the state budget the
-    search raises :class:`BudgetExceededError`; the plan enumerates
-    nothing.
+    On a forest whose |Aut| (from the pass kept on the graph) p does not
+    divide, :func:`_forest_plan` is still made and must be empty, so
+    Cauchy's theorem is checked both ways on forests of every size.  Past
+    the state budget the search on a graph with cycles raises
+    :class:`BudgetExceededError`; the forest plan enumerates nothing.
     """
     _assert_prime(p)
     symmetry = forest_symmetry(h)
-    if symmetry is not None:
-        rounds = _forest_plan(h, p)
-        assert bool(rounds) == (symmetry.order % p == 0), (
-            "internal verification failure: Cauchy criterion violated"
-        )
-        return _round_element(h, rounds[0], range(h.n), p) if rounds else None
-    group_order = len(automorphism_group(h)) if h.n <= FULL_GROUP_BOUND else None
-    found = next(iter_automorphisms(h, order=p), None)
-    assert group_order is None or (found is not None) == (group_order % p == 0), (
-        "internal verification failure: Cauchy criterion violated"
-    )
-    if found is not None:
-        _assert_p_cycles(found, p)
-    return found
+    if symmetry is not None and symmetry.order % p:
+        if _forest_plan(h, p):
+            raise RuntimeError("internal verification failure: Cauchy criterion violated")
+        return None
+    rounds = _plan(h, p)
+    return _round_element(h, rounds[0], range(h.n), p) if rounds else None
 
 
 def fixed_subgraph(h: Graph, rho: Permutation) -> tuple[Graph, list[int]]:
@@ -387,6 +356,31 @@ def _forest_plan(g: Graph, p: int) -> list[list[tuple[tuple[int, ...], ...]]]:
     return [rounds[k] for k in sorted(rounds)]
 
 
+def _plan(g: Graph, p: int) -> list[list[tuple[tuple[int, ...], ...]]]:
+    """The next rounds of rotations that reduce g; empty when g has no
+    element of order p.
+
+    On a forest they are the rounds of :func:`_forest_plan`, made when p
+    divides |Aut| from the kept pass.  On a graph with cycles they are one
+    round: the cycles of the lexicographically first element that
+    :func:`iter_automorphisms` lists, each a rotation of single vertices;
+    up to ``FULL_GROUP_BOUND`` vertices |Aut| comes from the listed group,
+    and larger graphs with cycles go unchecked.  A known |Aut| is checked
+    both ways by Cauchy's theorem: the plan is non-empty iff p divides it.
+    """
+    symmetry = forest_symmetry(g)
+    if symmetry is not None:
+        order: int | None = symmetry.order
+        rounds = _forest_plan(g, p) if order % p == 0 else []
+    else:
+        order = len(automorphism_group(g)) if g.n <= FULL_GROUP_BOUND else None
+        rho = next(iter_automorphisms(g, order=p), None)
+        rounds = [] if rho is None else [[tuple((v,) for v in c) for c in rho.cycles()]]
+    if order is not None and bool(rounds) != (order % p == 0):
+        raise RuntimeError("internal verification failure: Cauchy criterion violated")
+    return rounds
+
+
 def _round_element(
     g: Graph,
     rotations: Sequence[tuple[tuple[int, ...], ...]],
@@ -394,11 +388,11 @@ def _round_element(
     p: int,
 ) -> Permutation:
     """The element of g that rotates every branch of one round of
-    :func:`_forest_plan`, where the planned vertex v is vertex ``where[v]``
-    of g (-1 once gone).  Rotated branches must have one size and keep
-    their vertices, the element's cycles must all have length p, and it
-    must be an automorphism of g; each check fails as an internal
-    verification failure."""
+    :func:`_plan`, where the planned vertex v is vertex ``where[v]`` of g
+    (-1 once gone).  Rotated branches must have one size and keep their
+    vertices, the element must move some vertex and have only cycles of
+    length p, and it must be an automorphism of g; each check fails as an
+    internal verification failure."""
     images = list(range(g.n))
     for branches in rotations:
         for source, target in zip(branches, branches[1:] + branches[:1]):
@@ -417,46 +411,16 @@ def _round_element(
         rho = Permutation(tuple(images))
     except InputError as exc:
         raise RuntimeError(f"internal verification failure: {exc}") from exc
-    _assert_p_cycles(rho, p)
+    cycles = rho.cycles()
+    if not cycles or any(len(c) != p for c in cycles):
+        raise RuntimeError(
+            f"internal verification failure: the element's cycles are not all of length {p}"
+        )
     if not rho.is_automorphism_of(g):
         raise RuntimeError(
             "internal verification failure: permutation is not an automorphism of the graph"
         )
     return rho
-
-
-def _reduce_forest(h: Graph, p: int, steps: list[ReductionStep]) -> Graph:
-    """Reduce the forest h by the rounds of :func:`_forest_plan`, one step
-    per round, appending the steps; the reduced forest.
-
-    Each round's element rotates all of its branches at once and is
-    checked by :func:`_round_element`.  The plan is made again on the
-    result while p divides |Aut| of the result (Cauchy's check): a plan can
-    leave a symmetry that only shows from the new centres, say between a
-    re-peeled tree and one that was not.  An empty plan there is a
-    failure.
-    """
-    current = h
-    while current._forest_symmetry.order % p == 0:
-        rounds = _forest_plan(current, p)
-        if not rounds:
-            raise RuntimeError(
-                f"internal verification failure: {p} divides |Aut| of a forest "
-                "but its plan rotates nothing"
-            )
-        where = list(range(current.n))  # planned vertex -> its label now, -1 once gone
-        for index, rotations in enumerate(rounds):
-            rho = _round_element(current, rotations, where, p)
-            fixed = [v for v, w in enumerate(rho.images) if v == w]
-            after = current.induced(fixed)
-            steps.append(ReductionStep(current, rho, after, tuple(fixed)))
-            if index + 1 < len(rounds):
-                rank = [-1] * current.n
-                for i, x in enumerate(fixed):
-                    rank[x] = i
-                where = [rank[x] if x >= 0 else -1 for x in where]
-            current = after
-    return current
 
 
 def reduced_form(
@@ -466,26 +430,31 @@ def reduced_form(
 ) -> ReductionTrace:
     """Quotient away order-p symmetry until none remains.
 
-    ``deterministic`` reduces a forest by rounds of :func:`_forest_plan`,
-    and a graph with cycles by the lexicographically first order-p
-    automorphism at each step until what is left is a forest.
-    ``all_paths`` explores every choice at every step, de-duplicating up to
-    isomorphism, and verifies all terminal graphs are isomorphic (raising
-    RuntimeError otherwise).
+    ``deterministic`` takes the rounds of :func:`_plan` one step each, and
+    plans again on the result until the plan is empty: a forest's plan can
+    leave a symmetry that only shows from the new centres, say between a
+    re-peeled tree and one that was not.  ``all_paths``
+    explores every choice at every step, de-duplicating up to isomorphism,
+    and verifies all terminal graphs are isomorphic (raising RuntimeError
+    otherwise).
     """
     _assert_prime(p)
     if tie_break == "deterministic":
         steps: list[ReductionStep] = []
         current = h
-        while forest_symmetry(current) is None:
-            rho = find_order_p_automorphism(current, p)
-            if rho is None:
-                break
-            after, fixed = fixed_subgraph(current, rho)
-            steps.append(ReductionStep(current, rho, after, tuple(fixed)))
-            current = after
-        else:
-            current = _reduce_forest(current, p, steps)
+        while rounds := _plan(current, p):
+            where = list(range(current.n))  # planned vertex -> its label now, -1 once gone
+            for index, rotations in enumerate(rounds):
+                rho = _round_element(current, rotations, where, p)
+                fixed = [v for v, w in enumerate(rho.images) if v == w]
+                after = current.induced(fixed)
+                steps.append(ReductionStep(current, rho, after, tuple(fixed)))
+                if index + 1 < len(rounds):
+                    rank = [-1] * current.n
+                    for i, x in enumerate(fixed):
+                        rank[x] = i
+                    where = [rank[x] if x >= 0 else -1 for x in where]
+                current = after
         return ReductionTrace(
             p=p, mode="deterministic", steps=tuple(steps), result=current
         )

@@ -28,7 +28,7 @@ from typing import Iterator
 
 from .counting import ZpScalar, _assert_prime
 from .elimination import partition_sum
-from .errors import InputError
+from .errors import InputError, over_budget, state_budget_default
 from .graphs import Graph, Multigraph, PartiallyLabelledGraph
 
 EXPLICIT_VALIDATION_VERTICES = 20
@@ -354,6 +354,21 @@ def _search_caps(p: int, max_m: int | None, entry_cap: int | None) -> tuple[int,
     return cap_m, cap
 
 
+def _check_scan_budget(cap_m: int) -> None:
+    """Refuse a scan up to family size ``cap_m`` whose clique halves need
+    more terms than the state budget: family size m evaluates K_2..K_(m-1),
+    s terms for K_s, so the scan needs the sum of C(m, 2) - 1 over
+    3 <= m <= cap_m terms."""
+    budget = state_budget_default()
+    need = math.comb(cap_m + 1, 3) - cap_m + 1
+    if need > budget:
+        raise over_budget(
+            f"the gadget scan up to family size {cap_m} needs {need} clique-half terms",
+            budget,
+            need,
+        )
+
+
 def _gamma_dlog_table(gv: int, p: int) -> dict[int, int]:
     """value -> least exponent e with gamma^e = value; {1: 0} for gamma = 0."""
     if gv == 0:
@@ -456,7 +471,8 @@ def search_gadget(
     first hit is located from the residues reachable by each prefix of
     slots rather than by enumeration, and is cross-tested against the
     literal scan.  A ``none-within-bounds`` outcome is a statement about the
-    searched family only.
+    searched family only.  The scan's clique-half terms count against the
+    state budget, and a scan over it is refused before it starts.
     """
     p = sp.p
     if sp.lam.is_zero():
@@ -464,6 +480,7 @@ def search_gadget(
     if sp.gamma_sq_is_one:
         raise InputError("search requires gamma^2 not congruent to 1")
     cap_m, cap = _search_caps(p, max_m, entry_cap)
+    _check_scan_budget(cap_m)
 
     gv, lv = sp.gamma.value, sp.lam.value
     dlog = _gamma_dlog_table(gv, p)
@@ -600,7 +617,8 @@ def classify_spin(
     when lambda is a power of gamma, or a search hit.  Everything else is
     Unknown — either genuinely unclassified (gamma = -1) or
     searched-without-success within the given bounds.  The caps are
-    checked as :func:`search_gadget` checks them, whichever case answers.
+    checked as :func:`search_gadget` checks them, whichever case answers;
+    the scan's state budget only where the search runs.
     """
     p = sp.p
     _search_caps(p, max_m, entry_cap)
@@ -689,15 +707,17 @@ def search_sweep(
     p: int, *, max_m: int | None = None, entry_cap: int | None = None
 ) -> Iterator[SearchOutcome]:
     """Run the gadget search over every qualifying (gamma, lambda) pair,
-    in ascending (gamma, lambda) order."""
+    in ascending (gamma, lambda) order.  The prime, the caps and the
+    scan's state budget are checked on the call, before any pair."""
     _assert_prime(p)
-    for gv in range(p):
-        if gv * gv % p == 1:
-            continue
-        for lv in range(1, p):
-            yield search_gadget(
-                SpinParams.of(gv, lv, p), max_m=max_m, entry_cap=entry_cap
-            )
+    cap_m, _ = _search_caps(p, max_m, entry_cap)
+    _check_scan_budget(cap_m)
+    return (
+        search_gadget(SpinParams.of(gv, lv, p), max_m=max_m, entry_cap=entry_cap)
+        for gv in range(p)
+        if gv * gv % p != 1
+        for lv in range(1, p)
+    )
 
 
 def classify_sweep(

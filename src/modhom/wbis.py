@@ -491,8 +491,14 @@ def select_gadget(w: WbisWeights) -> BGadget:
     a = construction.side_size
     u_L = construction.u_id(k) if matched_left else construction.u_id(a)
     v_R = construction.v_id(k) if matched_right else construction.v_id(a)
-    assert matched_left or k < a, "unmatched left pick must exist"
-    assert matched_right or k < a, "unmatched right pick must exist"
+
+    def bug(msg: str) -> RuntimeError:
+        return RuntimeError(f"internal verification failure: {msg}")
+
+    if not (matched_left or k < a):
+        raise bug("unmatched left pick must exist")
+    if not (matched_right or k < a):
+        raise bug("unmatched right pick must exist")
 
     llv, lrv = ll.value, lr.value
     zb_int = _gap_closed_form(a, a, k, llv, lrv)
@@ -502,9 +508,6 @@ def select_gadget(w: WbisWeights) -> BGadget:
     z_b = ZpScalar.of(zb_int, p)
     z_uL = ZpScalar.of(zuL_int, p)
     z_vR = ZpScalar.of(zvR_int, p)
-
-    def bug(msg: str) -> RuntimeError:
-        return RuntimeError(f"internal verification failure: {msg}")
 
     if not z_b.is_zero():
         raise bug(f"Z(B) = {z_b} not 0 (case {case})")

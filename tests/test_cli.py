@@ -288,6 +288,22 @@ def test_spin_search_sweep_csv(capsys):
     assert all(",found," in line for line in lines[1:])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--p", "7", "--gamma", "2", "--lambda", "3", "--entry-cap", "0"],
+        ["--sweep", "7"],
+    ],
+)
+def test_spin_search_refuses_a_scan_over_the_state_budget(capsys, argv, monkeypatch):
+    monkeypatch.delenv("MODHOM_BUDGET_STATES", raising=False)  # the default, 10^8
+    assert main(["spin", "search", *argv, "--max-m", "2000"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # a sweep refuses before its CSV header
+    assert err.startswith("error: the gadget scan up to family size 2000 needs 1333331001")
+    assert "a state budget >= 1333331001 suffices" in err
+
+
 def test_spin_search_needs_target(capsys):
     assert main(["spin", "search", "--p", "5"]) == 1
 
@@ -592,6 +608,7 @@ def test_exit_code_budget_composite_modulus(capsys, files, tmp_path):
         ["wbis", "z", "k2.bip", "--p", "5", "--lambda-left", "3", "--lambda-right", "2"],
         ["wbis", "sat-reduce", "phi.cnf", "--p", "3", "--lambda-left", "1", "--lambda-right", "1"],
         ["spin", "z", "spin.graph", "--p", "7", "--gamma", "3", "--lambda", "2"],
+        ["spin", "search", "--p", "7", "--gamma", "3", "--lambda", "2"],
         ["verify", "wbis-to-homs", "k2.bip", "dstar.graph", "--p", "5"],
         ["verify", "sat-to-wbis", "phi.cnf", "--p", "2", "--lambda-left", "1", "--lambda-right", "1"],
         ["verify", "connbis", "k2.bip"],

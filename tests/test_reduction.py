@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +46,7 @@ from modhom.reduction import (
 )
 
 RNG_SEED = 0x5EED02
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_order_p_element_detection():
@@ -91,10 +96,10 @@ def test_forest_shortcut_skips_the_search(monkeypatch):
 
 def test_empty_search_on_a_forest_fails_the_cauchy_check(monkeypatch):
     monkeypatch.setattr(reduction, "_forest_plan", lambda g, p: [])
-    with pytest.raises(AssertionError, match="Cauchy criterion violated"):
+    with pytest.raises(RuntimeError, match="Cauchy criterion violated"):
         find_order_p_automorphism(star_graph(9), 3)
     # a forest of any size is checked against its exact group order
-    with pytest.raises(AssertionError, match="Cauchy criterion violated"):
+    with pytest.raises(RuntimeError, match="Cauchy criterion violated"):
         find_order_p_automorphism(star_graph(300), 3)
     # off forests above 8 vertices there is no exact group order to check against
     monkeypatch.setattr(reduction, "iter_automorphisms", lambda h, *, order=None: iter(()))
@@ -104,11 +109,11 @@ def test_empty_search_on_a_forest_fails_the_cauchy_check(monkeypatch):
 def test_empty_search_at_full_group_size_fails_the_cauchy_check(monkeypatch):
     # |Aut(K_{1,3})| = 6: an element of order 3 must exist
     monkeypatch.setattr(reduction, "_forest_plan", lambda g, p: [])
-    with pytest.raises(AssertionError, match="Cauchy criterion violated"):
+    with pytest.raises(RuntimeError, match="Cauchy criterion violated"):
         find_order_p_automorphism(star_graph(3), 3)
     # off forests the listed group gives the order: |Aut(C_6)| = 12
     monkeypatch.setattr(reduction, "iter_automorphisms", lambda h, *, order=None: iter(()))
-    with pytest.raises(AssertionError, match="Cauchy criterion violated"):
+    with pytest.raises(RuntimeError, match="Cauchy criterion violated"):
         find_order_p_automorphism(cycle_graph(6), 3)
 
 
@@ -116,16 +121,16 @@ def test_spurious_element_at_full_group_size_fails_the_cauchy_check(monkeypatch)
     # |Aut(P_3)| = 2 and |Aut(C_5)| = 10, so neither has an element of
     # order 3; a plan that rotates anyway is checked
     monkeypatch.setattr(reduction, "_forest_plan", lambda g, p: [[((0,), (1,), (2,))]])
-    with pytest.raises(AssertionError, match="Cauchy criterion violated"):
+    with pytest.raises(RuntimeError, match="Cauchy criterion violated"):
         find_order_p_automorphism(path_graph(3), 3)
     # P_12 is past the full-group bound; its exact order 2 still checks
-    with pytest.raises(AssertionError, match="Cauchy criterion violated"):
+    with pytest.raises(RuntimeError, match="Cauchy criterion violated"):
         find_order_p_automorphism(path_graph(12), 3)
     reflection = Permutation((0, 4, 3, 2, 1))
     monkeypatch.setattr(
         reduction, "iter_automorphisms", lambda h, *, order=None: iter((reflection,))
     )
-    with pytest.raises(AssertionError, match="Cauchy criterion violated"):
+    with pytest.raises(RuntimeError, match="Cauchy criterion violated"):
         find_order_p_automorphism(cycle_graph(5), 3)
 
 
@@ -136,7 +141,7 @@ def test_element_with_a_cycle_of_another_length_fails_the_check(monkeypatch):
     star = star_graph(3)
     for plan in ([[((1,), (2,))]], [[((1,),)]]):
         monkeypatch.setattr(reduction, "_forest_plan", lambda g, p: plan)
-        with pytest.raises(AssertionError, match="cycles are not all of length 3"):
+        with pytest.raises(RuntimeError, match="cycles are not all of length 3"):
             find_order_p_automorphism(star, 3)
     # off forests the search's element is checked the same way: C_6 has
     # elements of order 3, but not this one of order 6
@@ -144,8 +149,41 @@ def test_element_with_a_cycle_of_another_length_fails_the_check(monkeypatch):
     monkeypatch.setattr(
         reduction, "iter_automorphisms", lambda h, *, order=None: iter((rotation,))
     )
-    with pytest.raises(AssertionError, match="cycles are not all of length 3"):
+    with pytest.raises(RuntimeError, match="cycles are not all of length 3"):
         find_order_p_automorphism(cycle_graph(6), 3)
+
+
+def test_the_cauchy_check_holds_under_python_optimise():
+    # python -O strips assert statements; the check must not be one
+    probe = (
+        "from modhom import reduction\n"
+        "from modhom.graphs import star_graph\n"
+        "reduction._forest_plan = lambda g, p: []\n"
+        "try:\n"
+        "    print(reduction.find_order_p_automorphism(star_graph(9), 3))\n"
+        "except RuntimeError as exc:\n"
+        "    print(exc)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=60,
+        check=True,
+    )
+    assert out.stdout == "internal verification failure: Cauchy criterion violated\n"
+
+
+def test_a_searched_element_that_is_no_automorphism_is_an_internal_failure(monkeypatch):
+    # (0 2) has only 2-cycles but is no automorphism of C_10, which is past
+    # the full-group bound, so only the element's own check can catch it
+    swap = Permutation((2, 1, 0, *range(3, 10)))
+    monkeypatch.setattr(reduction, "iter_automorphisms", lambda h, *, order=None: iter((swap,)))
+    with pytest.raises(
+        RuntimeError, match="internal verification failure: permutation is not an automorphism"
+    ):
+        reduced_form(cycle_graph(10), 2)
 
 
 def _copies_under_a_hub(branch: Graph, copies: int) -> Graph:
@@ -479,7 +517,7 @@ def test_a_rotation_onto_a_non_isomorphic_branch_is_refused(monkeypatch):
         reduced_form(path_graph(5), 2)
     # three leaves of K_{1,3} rotate in a 3-cycle, not in 2-cycles
     monkeypatch.setattr(reduction, "_forest_plan", lambda g, p: [[((1,), (2,), (3,))]])
-    with pytest.raises(AssertionError, match="cycles are not all of length 2"):
+    with pytest.raises(RuntimeError, match="cycles are not all of length 2"):
         reduced_form(star_graph(3), 2)
 
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import flat_gadget_search, flat_spin
 from modhom.counting import zp
-from modhom.errors import InputError
+from modhom.errors import BudgetExceededError, InputError, state_budget_scope
 from modhom.graphs import Graph, Multigraph, PartiallyLabelledGraph
 from modhom.spin import (
     GadgetVector,
@@ -321,6 +321,32 @@ def test_search_respects_family_size_cap():
 def test_search_rejects_family_cap_below_two():
     with pytest.raises(InputError):
         search_gadget(sp(18, 6, 41), max_m=1)
+
+
+def test_the_scan_is_sized_against_the_state_budget():
+    # family sizes 3 and 4 evaluate K_2, then K_2 and K_3: 2 + 5 terms
+    with state_budget_scope(7):
+        assert search_gadget(sp(18, 6, 41), max_m=4).status == "none-within-bounds"
+    with state_budget_scope(6), pytest.raises(
+        BudgetExceededError, match="7 clique-half terms > state budget 6; a state budget >= 7"
+    ):
+        search_gadget(sp(18, 6, 41), max_m=4)
+    # refused before the scan, whatever the entry cap
+    with state_budget_scope(10**8), pytest.raises(
+        BudgetExceededError, match="needs 1333331001 clique-half terms"
+    ):
+        search_gadget(sp(2, 3, 7), max_m=2000, entry_cap=0)
+
+
+def test_classify_and_sweep_refuse_a_scan_over_the_state_budget():
+    with state_budget_scope(6):
+        with pytest.raises(BudgetExceededError, match="clique-half terms"):
+            classify_spin(sp(18, 6, 41), max_m=4)
+        # a sweep refuses on the call, before its first pair
+        with pytest.raises(BudgetExceededError, match="clique-half terms"):
+            search_sweep(41, max_m=4)
+        # only a search is refused: a parallel-edge witness answers
+        assert classify_spin(sp(2, 3, 5), max_m=4).verdict == "Hard"
 
 
 @pytest.mark.parametrize(
