@@ -489,9 +489,9 @@ def tuple_vector(
             contracted=False,
         )
 
-    from .reduction import find_order_p_automorphism
+    from .reduction import _plan
 
-    if find_order_p_automorphism(h, p) is not None:
+    if _plan(h, p):
         raise InputError(
             "target has an automorphism of order p; contracted vectors "
             "are not well-defined here"
@@ -596,13 +596,13 @@ def find_distinguisher(
     exhausted; that is a bounded-search outcome, not a proof that no
     distinguisher exists.
     """
-    from .reduction import find_order_p_automorphism
+    from .reduction import _plan
 
     _assert_prime(p)
     marks_a, marks_b = tuple(marks_a), tuple(marks_b)
     if len(marks_a) != len(marks_b):
         raise InputError("mark tuples must have equal length")
-    if find_order_p_automorphism(h, p) is not None:
+    if _plan(h, p):
         raise InputError("order-p automorphism present; counts cannot separate")
     if are_isomorphic(
         DistinguishedGraph(h, marks_a), DistinguishedGraph(h, marks_b)

@@ -5,7 +5,9 @@ sides computed by independent code paths:
 
 * weighted independent-set sums against homomorphism counts, through an
   apex-and-subdivision construction J driven by a degree-certificate path
-  in the target tree;
+  in the target tree; :func:`build_J` keeps the skeleton it subdivides
+  (the source plus the two apexes) with each edge's length, and the
+  walk-matrix count runs on that skeleton;
 * an apex transform that makes a bipartite graph connected while shifting
   its independent-set census by an exact power of two;
 * the factor-two correspondence between independent sets of a connected
@@ -21,7 +23,6 @@ from dataclasses import dataclass
 
 from .counting import (
     PRIME_TEST_BOUND,
-    HomCount,
     ZpScalar,
     count_homs,
     count_homs_subdivided,
@@ -42,7 +43,11 @@ TRIAL_DIVISION_BOUND = 10**6
 class JConstruction:
     """The expanded gadget graph: two pinned apexes over a bipartite source,
     with every source edge subdivided into a path of the certificate's
-    length."""
+    length.
+
+    ``skeleton`` is the source plus the two apexes, before subdivision, and
+    ``lengths`` gives each of its edges the length of its path in J: 1 for
+    an apex edge, the certificate's length k for a source edge."""
 
     j: PartiallyLabelledGraph
     source: BipartiteGraph
@@ -50,6 +55,8 @@ class JConstruction:
     u_hat: int
     v_hat: int
     interior: tuple[tuple[tuple[int, int], tuple[int, ...]], ...]
+    skeleton: Graph
+    lengths: tuple[tuple[tuple[int, int], int], ...]
 
     def to_json(self) -> dict:
         return {
@@ -73,35 +80,28 @@ def build_J(g: BipartiteGraph, path: AbPath) -> JConstruction:
     vertices edge by edge in sorted edge order.
     """
     k = path.k
-    base_n = g.n
-    u_hat = base_n
-    v_hat = base_n + 1
-    edges: list[tuple[int, int]] = []
-    for v in sorted(g.left):
-        edges.append((v, u_hat))
-    for v in sorted(g.right):
-        edges.append((v, v_hat))
-    cursor = base_n + 2
+    u_hat = g.n
+    v_hat = g.n + 1
+    apex_edges = [(v, u_hat) for v in g.left] + [(v, v_hat) for v in g.right]
+    edges = list(apex_edges)
+    cursor = g.n + 2
     interior: list[tuple[tuple[int, int], tuple[int, ...]]] = []
     for u, v in sorted(g.edges):
-        if k == 1:
-            edges.append((u, v))
-            interior.append(((u, v), ()))
-            continue
         ids = tuple(range(cursor, cursor + k - 1))
         cursor += k - 1
         chain = [u, *ids, v]
         edges.extend(zip(chain, chain[1:]))
         interior.append(((u, v), ids))
-    graph = Graph.make(cursor, edges)
     pins = {u_hat: path.vertices[0], v_hat: path.vertices[-1]}
     return JConstruction(
-        j=PartiallyLabelledGraph.make(graph, pins),
+        j=PartiallyLabelledGraph.make(Graph.make(cursor, edges), pins),
         source=g,
         path=path,
         u_hat=u_hat,
         v_hat=v_hat,
         interior=tuple(interior),
+        skeleton=Graph.make(g.n + 2, [*apex_edges, *g.edges]),
+        lengths=tuple([(e, 1) for e in apex_edges] + [(e, k) for e in g.edges]),
     )
 
 
@@ -201,23 +201,8 @@ def verify_wbis_to_homs(g: BipartiteGraph, h: Graph, p: int) -> WbisHomsReport:
     if path is None:
         raise InputError("target graph admits no degree-certificate path")
     jc = build_J(g, path)
-
-    skeleton_edges: list[tuple[int, int]] = []
-    lengths: dict[tuple[int, int], int] = {}
-    for v in g.left:
-        e = tuple(sorted((v, jc.u_hat)))
-        skeleton_edges.append(e)
-        lengths[e] = 1
-    for v in g.right:
-        e = tuple(sorted((v, jc.v_hat)))
-        skeleton_edges.append(e)
-        lengths[e] = 1
-    for u, v in g.edges:
-        skeleton_edges.append((u, v))
-        lengths[(u, v)] = path.k
-    skeleton = Graph.make(g.n + 2, skeleton_edges)
     lhs = count_homs_subdivided(
-        skeleton, lengths, dict(jc.j.pin_map), h, p
+        jc.skeleton, dict(jc.lengths), dict(jc.j.pin_map), h, p
     )
     rhs = z_wbis(g, WbisWeights.of(path.a - 1, path.b - 1, p))
 

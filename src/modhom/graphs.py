@@ -1,7 +1,10 @@
 """Small-graph representations, parsing, structure reports and symmetry search.
 
 Vertices are dense integers ``0..n-1``.  Graph files are 1-indexed (DIMACS
-habit); conversion happens at the parsing boundary and nowhere else.
+habit); conversion happens at the parsing boundary and nowhere else.  A
+:class:`BipartiteGraph` is two fields, a :class:`Graph` and its left side;
+the right side is the rest of the vertices, made on first read, so a large
+header with no edges costs nothing per vertex.
 
 Everything in this module is sized for desk-scale work: isomorphism and
 automorphism queries run a pruned permutation search whose placements count
@@ -39,8 +42,8 @@ from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import BudgetExceededError, InputError, over_budget, state_budget_default
 
-# Largest vertex count a graph file's header may announce; parsing
-# allocates per announced vertex, so a short header must not claim billions.
+# Largest vertex count a graph file's header may announce; every use of the
+# graph allocates per vertex, so a short header must not claim billions.
 HEADER_VERTEX_LIMIT = 10**6
 
 # Most elements automorphism_group keeps in memory: the state budget bounds
@@ -201,22 +204,18 @@ class BipartiteGraph:
 
     The partition is part of the data, not derived: weighted independent-set
     problems weight the two sides differently, and the same underlying graph
-    admits several partitions.
+    admits several partitions.  Only ``graph`` and its left side are kept;
+    the right side is the rest of the vertices, made on first read.
     """
 
+    graph: Graph
     left: frozenset[int]
-    right: frozenset[int]
-    edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        if self.left & self.right:
-            raise InputError("left and right sides must be disjoint")
-        n = len(self.left) + len(self.right)
-        if (self.left | self.right) != frozenset(range(n)):
-            raise InputError("vertices must be exactly 0..n-1")
-        for u, v in self.edges:
-            if u > v:
-                raise InputError(f"edge ({u},{v}) not normalized")
+        for v in self.left:
+            if not 0 <= v < self.graph.n:
+                raise InputError(f"left vertex {v} out of range for n={self.graph.n}")
+        for u, v in self.graph.edges:
             if (u in self.left) == (v in self.left):
                 raise InputError(f"edge ({u},{v}) does not cross the partition")
 
@@ -227,44 +226,45 @@ class BipartiteGraph:
         right: Iterable[int],
         edges: Iterable[tuple[int, int]] = (),
     ) -> "BipartiteGraph":
-        return cls(
-            frozenset(left),
-            frozenset(right),
-            frozenset(_norm_edge(u, v) for u, v in edges),
-        )
+        left, right = frozenset(left), frozenset(right)
+        if left & right:
+            raise InputError("left and right sides must be disjoint")
+        n = len(left) + len(right)
+        if (left | right) != frozenset(range(n)):
+            raise InputError("vertices must be exactly 0..n-1")
+        return cls(Graph.make(n, edges), left)
+
+    @cached_property
+    def right(self) -> frozenset[int]:
+        return frozenset(range(self.graph.n)) - self.left
 
     @property
     def n(self) -> int:
-        return len(self.left) + len(self.right)
+        return self.graph.n
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return self.graph.m
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return self.graph.edges
 
     def side(self, v: int) -> str:
         return "L" if v in self.left else "R"
 
     def to_graph(self) -> Graph:
-        return Graph(self.n, self.edges)
+        return self.graph
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return self.to_graph().neighbors(v)
+        return self.graph.neighbors(v)
 
     def without(self, drop: Iterable[int]) -> tuple["BipartiteGraph", dict[int, int]]:
         """Delete vertices; returns the relabelled graph and old->new id map."""
         gone = set(drop)
-        kept = sorted(v for v in range(self.n) if v not in gone)
-        index = {v: i for i, v in enumerate(kept)}
-        bg = BipartiteGraph.make(
-            [index[v] for v in self.left if v in index],
-            [index[v] for v in self.right if v in index],
-            [
-                (index[u], index[v])
-                for u, v in self.edges
-                if u in index and v in index
-            ],
-        )
-        return bg, index
+        index = {v: i for i, v in enumerate(v for v in range(self.n) if v not in gone)}
+        left = frozenset(index[v] for v in self.left if v in index)
+        return BipartiteGraph(self.graph.induced(index), left), index
 
 
 @dataclass(frozen=True)
@@ -512,12 +512,11 @@ def parse_graph(
         return Multigraph.make(n, ((u, v) for _, u, v in edge_lines))
 
     if kind == "bipartite":
-        left = set(left_marks)
-        right = set(range(n)) - left
+        left = frozenset(left_marks)
         for lineno, u, v in edge_lines:
             if (u in left) == (v in left):
                 raise fail(lineno, "edge does not cross the declared partition")
-        return BipartiteGraph.make(left, right, ((u, v) for _, u, v in edge_lines))
+        return BipartiteGraph(Graph.make(n, ((u, v) for _, u, v in edge_lines)), left)
 
     # labelled
     if token == "multi":

@@ -375,10 +375,15 @@ def _plan(g: Graph, p: int) -> list[list[tuple[tuple[int, ...], ...]]]:
     else:
         order = len(automorphism_group(g)) if g.n <= FULL_GROUP_BOUND else None
         rho = next(iter_automorphisms(g, order=p), None)
-        rounds = [] if rho is None else [[tuple((v,) for v in c) for c in rho.cycles()]]
+        rounds = [] if rho is None else [_single_vertex_round(rho)]
     if order is not None and bool(rounds) != (order % p == 0):
         raise RuntimeError("internal verification failure: Cauchy criterion violated")
     return rounds
+
+
+def _single_vertex_round(rho: Permutation) -> list[tuple[tuple[int, ...], ...]]:
+    """The round that rotates each cycle of ``rho`` as single vertices."""
+    return [tuple((v,) for v in c) for c in rho.cycles()]
 
 
 def _round_element(
@@ -436,7 +441,8 @@ def reduced_form(
     re-peeled tree and one that was not.  ``all_paths``
     explores every choice at every step, de-duplicating up to isomorphism,
     and verifies all terminal graphs are isomorphic (raising RuntimeError
-    otherwise).
+    otherwise); each element the search lists is checked by
+    :func:`_round_element` as a round of single-vertex rotations.
     """
     _assert_prime(p)
     if tie_break == "deterministic":
@@ -474,8 +480,9 @@ def reduced_form(
         next_frontier: list[Graph] = []
         for g in frontier:
             children: list[Graph] = []
-            for rho in iter_automorphisms(g, order=p):
-                child, _ = fixed_subgraph(g, rho)
+            for found in iter_automorphisms(g, order=p):
+                rho = _round_element(g, _single_vertex_round(found), range(g.n), p)
+                child = g.induced(v for v, w in enumerate(rho.images) if v == w)
                 if not any(are_isomorphic(child, c) for c in children):
                     children.append(child)
             if not children:

@@ -214,8 +214,7 @@ def z_wbis_flat(g: BipartiteGraph, w: WbisWeights) -> ZpScalar:
         raise BudgetExceededError("opposite side exceeds 63 bits")
 
     other_index = {v: i for i, v in enumerate(other)}
-    graph = g.to_graph()
-    nbr = [sum(1 << other_index[u] for u in graph.neighbors(v)) for v in enum]
+    nbr = [sum(1 << other_index[u] for u in g.neighbors(v)) for v in enum]
     dtype = object if p > _INT64_MOD else np.int64
     # entry k: (1+w_o)^(free opposite vertices) when k of them are blocked
     powtab = np.array(
@@ -763,31 +762,21 @@ class GPhiConstruction:
         """The whole graph: the core plus every copy, each copy's identified
         vertex replaced by the core vertex it hangs off."""
         bgraph = self.gadget.graph
-        bgraph_plain = bgraph.to_graph()
 
-        def stamped(
-            drop: int,
-        ) -> tuple[list[int], list[int], list[tuple[int, int]], list[int]]:
+        def stamped(drop: int) -> tuple[BipartiteGraph, list[int]]:
             reduced, index = bgraph.without([drop])
-            lefts = sorted(reduced.left)
-            rights = sorted(reduced.right)
-            attach_nbrs = sorted(index[x] for x in bgraph_plain.neighbors(drop))
-            return lefts, rights, sorted(reduced.edges), attach_nbrs
+            return reduced, [index[x] for x in bgraph.neighbors(drop)]
 
         templates = {"L": stamped(self.gadget.u_L), "R": stamped(self.gadget.v_R)}
         left = set(range(3 * self.n))
-        right = set(range(3 * self.n, self.core_size))
         edges = set(self.core_edges)
         for c in self.copies:
-            lefts, rights, bedges, attach_nbrs = templates[c.side]
+            reduced, attach_nbrs = templates[c.side]
             cursor = c.block_start
-            left.update(cursor + x for x in lefts)
-            right.update(cursor + x for x in rights)
-            edges.update((cursor + a, cursor + b) for a, b in bedges)
-            for x in attach_nbrs:
-                a, b = c.core_vertex, cursor + x
-                edges.add((min(a, b), max(a, b)))
-        return BipartiteGraph.make(left, right, edges)
+            left.update(cursor + x for x in reduced.left)
+            edges.update((cursor + a, cursor + b) for a, b in reduced.edges)
+            edges.update((c.core_vertex, cursor + x) for x in attach_nbrs)
+        return BipartiteGraph(Graph.make(self.vertices, edges), frozenset(left))
 
     def to_json(self) -> dict:
         return {

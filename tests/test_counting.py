@@ -15,7 +15,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import flat_hom_count, flat_hom_sequence, rand_graph, rand_tree
+from conftest import flat_hom_count, flat_hom_sequence, rand_graph, rand_tree, spider
+from modhom import reduction
 from modhom.counting import (
     PRIME_TEST_BOUND,
     HomCount,
@@ -525,6 +526,21 @@ def test_distinguisher_rejects_order_p_symmetry():
     # P4 has an involution, so counts mod 2 cannot separate anything
     with pytest.raises(InputError):
         find_distinguisher(path_graph(4), (0,), (1,), 2)
+
+
+def test_a_p_rigid_forest_is_answered_without_a_reduction_plan(monkeypatch):
+    """3 does not divide |Aut| = 4 of the spider with legs 1, 1, 2, 2, which
+    the pass kept on the graph says; contraction and the distinguisher
+    search need no reduction plan to know it."""
+
+    def no_plan(g, p):
+        raise AssertionError("a forest plan was made")
+
+    monkeypatch.setattr(reduction, "_forest_plan", no_plan)
+    h = spider(1, 1, 2, 2)
+    vec = tuple_vector(DistinguishedGraph(path_graph(2), (0,)), h, 3, contract=True)
+    assert vec.contracted and sum(vec.orbit_sizes) == h.n
+    assert find_distinguisher(h, (0,), (1,), 3) is not None
 
 
 def test_distinguisher_budget_exhaustion_returns_none():

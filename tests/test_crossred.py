@@ -23,7 +23,7 @@ from conftest import (
     rand_graph,
     rand_tree,
 )
-from modhom.counting import count_homs
+from modhom.counting import count_homs, count_homs_subdivided
 from modhom.crossred import (
     build_J,
     connbis_transform,
@@ -82,6 +82,32 @@ def test_build_j_size_formula_random():
         jc = build_J(g, path)
         assert jc.j.base.n == g.n + 2 + (path.k - 1) * g.m
         assert len(jc.j.base.edges) == len(g.left) + len(g.right) + path.k * g.m
+
+
+def test_build_j_skeleton_counts_as_the_source_with_its_apexes():
+    """J's skeleton is the source plus an apex over each side, with length 1
+    on the apex edges and k on the source edges, built here from the source
+    alone; both count the same subdivided homs."""
+    rng = random.Random(RNG_SEED + 3)
+    done = 0
+    while done < 20:
+        p = rng.choice([3, 5, 7])
+        h = rand_tree(rng, rng.randint(4, 8))
+        path = find_ab_path(h, p)
+        if path is None:
+            continue
+        g = rand_bip(rng, rng.randint(1, 3), rng.randint(1, 3), 0.5)
+        jc = build_J(g, path)
+        lengths = {(v, g.n): 1 for v in g.left}
+        lengths |= {(v, g.n + 1): 1 for v in g.right}
+        lengths |= {e: path.k for e in g.edges}
+        skeleton = Graph.make(g.n + 2, lengths)
+        assert jc.skeleton == skeleton and dict(jc.lengths) == lengths
+        pins = jc.j.pin_map
+        assert count_homs_subdivided(
+            jc.skeleton, dict(jc.lengths), pins, h, p
+        ) == count_homs_subdivided(skeleton, lengths, pins, h, p)
+        done += 1
 
 
 # ---------------------------------------------------------------------------

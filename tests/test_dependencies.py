@@ -62,10 +62,10 @@ def test_only_import_cycles_defer_package_imports():
     """An import of the package's own code is deferred into a function only
     where a top-level import would close a cycle: graphs needs the primality
     test of counting, which imports graphs, and counting needs the order-p
-    search of reduction, which imports counting."""
+    plan of reduction, which imports counting."""
     assert sorted(function_level_package_imports()) == [
-        ("counting", "reduction", "find_order_p_automorphism"),
-        ("counting", "reduction", "find_order_p_automorphism"),
+        ("counting", "reduction", "_plan"),
+        ("counting", "reduction", "_plan"),
         ("graphs", "counting", "is_prime"),
     ]
 

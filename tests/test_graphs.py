@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +18,7 @@ from conftest import (
     flat_order,
     flat_structure,
     flat_subtree_minima,
+    rand_bip,
 )
 from modhom.errors import InputError
 from modhom.graphs import (
@@ -128,6 +130,33 @@ def test_bipartite_partition_is_checked():
     assert relab[2] == 1
 
 
+def test_bipartite_edges_must_lie_in_range():
+    with pytest.raises(InputError):
+        BipartiteGraph.make([0], [1], [(0, 5)])
+    with pytest.raises(InputError):
+        BipartiteGraph(Graph.make(2, [(0, 1)]), frozenset({0, 2}))
+
+
+def test_bipartite_graph_keeps_one_graph_and_its_left_side():
+    """The kept graph is the one ``to_graph`` returns, the right side is the
+    rest of the vertices, and ``without`` is the induced graph relabelled
+    in vertex order, rebuilt here from the edge list."""
+    rng = random.Random(0xB1)
+    for _ in range(60):
+        g = rand_bip(rng, rng.randint(0, 6), rng.randint(0, 6), rng.random())
+        assert g.to_graph() is g.graph
+        assert g.right == frozenset(range(g.n)) - g.left
+        assert g.n == g.graph.n and g.m == len(g.edges) == g.graph.m
+        drop = rng.sample(range(g.n), rng.randint(0, g.n))
+        dropped, index = g.without(drop)
+        assert list(index) == [v for v in range(g.n) if v not in drop]
+        assert dropped == BipartiteGraph.make(
+            [index[v] for v in g.left if v in index],
+            [index[v] for v in g.right if v in index],
+            [(index[u], index[v]) for u, v in g.edges if u in index and v in index],
+        )
+
+
 def test_distinguished_marks_validated():
     g = path_graph(3)
     DistinguishedGraph(g, (0, 0, 2))
@@ -159,6 +188,17 @@ def test_parse_bipartite_sides():
     g = parse_graph(text, kind="bipartite")
     assert isinstance(g, BipartiteGraph)
     assert g.left == frozenset({0, 1})
+
+
+def test_a_bipartite_header_allocates_nothing_per_vertex():
+    tracemalloc.start()
+    try:
+        g = parse_graph("p bip 1000000 0\n", kind="bipartite")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.n == 1_000_000 and g.m == 0 and not g.left
+    assert peak < 20 * 2**20
 
 
 def test_parse_labelled_pins_are_one_indexed():

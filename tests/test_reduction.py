@@ -175,15 +175,27 @@ def test_the_cauchy_check_holds_under_python_optimise():
     assert out.stdout == "internal verification failure: Cauchy criterion violated\n"
 
 
-def test_a_searched_element_that_is_no_automorphism_is_an_internal_failure(monkeypatch):
+def _search_lists_a_swap(monkeypatch) -> None:
     # (0 2) has only 2-cycles but is no automorphism of C_10, which is past
     # the full-group bound, so only the element's own check can catch it
     swap = Permutation((2, 1, 0, *range(3, 10)))
     monkeypatch.setattr(reduction, "iter_automorphisms", lambda h, *, order=None: iter((swap,)))
+
+
+def test_a_searched_element_that_is_no_automorphism_is_an_internal_failure(monkeypatch):
+    _search_lists_a_swap(monkeypatch)
     with pytest.raises(
         RuntimeError, match="internal verification failure: permutation is not an automorphism"
     ):
         reduced_form(cycle_graph(10), 2)
+
+
+def test_all_paths_checks_each_searched_element_as_the_loop_does(monkeypatch):
+    _search_lists_a_swap(monkeypatch)
+    with pytest.raises(
+        RuntimeError, match="internal verification failure: permutation is not an automorphism"
+    ):
+        reduced_form(cycle_graph(10), 2, "all_paths")
 
 
 def _copies_under_a_hub(branch: Graph, copies: int) -> Graph:
